@@ -4,11 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .detector_core import _NORM_EPS, _SQRT_2PI
 from .errors import ConfigurationError
-from .jio_mber import Mode
-
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
-_SCALE_EPS = 1e-12
 
 
 @dataclass
@@ -18,7 +15,6 @@ class FullRankState:
     w: np.ndarray
     mu: float
     rho: float | None = None
-    mode: Mode = Mode.TRAINING
     scaling_skipped: bool = field(default=False, repr=False)
 
     def __post_init__(self):
@@ -55,7 +51,7 @@ def mber_full_rank_update(state: FullRankState, r: np.ndarray, b: int) -> FullRa
     )
     w_next = w + (state.mu * c) * (r - xr * w)
     norm_sq = np.vdot(w_next, w_next).real
-    if norm_sq < _SCALE_EPS:
+    if norm_sq < _NORM_EPS:
         state.scaling_skipped = True
         state.w = w_next
         return state

@@ -12,13 +12,17 @@ returned arrays are df/d(conj(z)), so the real/imaginary partials are
 ``z - mu * gradient``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
 
+from .errors import NumericalError
+
 _SQRT2 = np.sqrt(2.0)
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+# squared filter norms below this count as zero (no scaling, no gradient)
 _NORM_EPS = 1e-12
 
 
@@ -41,6 +45,13 @@ def decision_statistic(x: complex, bit: int) -> DecisionStatistic:
     return DecisionStatistic(x=complex(x), signed_real=_check_bit(bit) * complex(x).real)
 
 
+def _decide(x_real: float) -> int:
+    """Hard decision sign(x_real), +1 on ties; a non-finite output raises."""
+    if not math.isfinite(x_real):
+        raise NumericalError(f"detector output is {x_real}")
+    return 1 if x_real >= 0.0 else -1
+
+
 def project(projection: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Reduced-dimension observation S^H r."""
     if projection.shape[0] != r.shape[0]:
@@ -52,13 +63,16 @@ def project(projection: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def filter_and_decide(w: np.ndarray, rbar: np.ndarray) -> tuple[DecisionStatistic, int]:
-    """Filter output w^H rbar and the hard decision sign(Re), +1 on ties."""
+    """Filter output w^H rbar and the hard decision sign(Re), +1 on ties.
+
+    A non-finite output raises :class:`~mberlink.errors.NumericalError`.
+    """
     if w.shape[0] != rbar.shape[0]:
         raise ValueError(
             f"dimension mismatch: filter length {w.shape[0]} vs input {rbar.shape[0]}"
         )
     x = complex(np.vdot(w, rbar))
-    bit = 1 if x.real >= 0.0 else -1
+    bit = _decide(x.real)
     return decision_statistic(x, bit), bit
 
 

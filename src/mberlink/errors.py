@@ -20,3 +20,7 @@ class ConfigParseError(ConfigurationError):
         super().__init__(f"{path}:{line}: {message}")
         self.path = path
         self.line = line
+
+
+class NumericalError(ArithmeticError):
+    """A detector's output or adapted state is no longer finite."""

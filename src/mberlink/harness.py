@@ -25,8 +25,8 @@ import numpy as np
 
 from ._version import __version__
 from .baselines import init_full_rank, lms_update, mber_full_rank_update
-from .detector_core import q_function
-from .errors import ConfigParseError, ConfigurationError
+from .detector_core import _NORM_EPS, _decide, q_function
+from .errors import ConfigParseError, ConfigurationError, NumericalError
 from .jio_mber import (
     Mode,
     RankSelectionConfig,
@@ -303,12 +303,11 @@ class _JioAutoAdapter:
 
     def step(self, r, true_bit, training):
         state = self.state
-        state.mode = Mode.TRAINING if training else Mode.DECISION_DIRECTED
         lo = self.ranks.d_min - 1
         x, n = truncated_statistics(state, r)
         xr = x.real[lo : self.ranks.d_max]
         nn = n[lo : self.ranks.d_max]
-        valid = nn >= 1e-12
+        valid = nn >= _NORM_EPS
         if training:
             reference = true_bit
         else:
@@ -325,7 +324,7 @@ class _JioAutoAdapter:
         d_opt = self.ranks.d_min + pick
         state.active_rank = d_opt
         self.last_rank = d_opt
-        decided = 1 if xr[pick] >= 0.0 else -1
+        decided = _decide(xr[pick])
         _adapt(state, r, true_bit if training else decided)
         return decided
 
@@ -335,8 +334,7 @@ class _LmsAdapter:
         self.state = init_full_rank(cfg.M, cfg.mu_lms)
 
     def step(self, r, true_bit, training):
-        self.state.mode = Mode.TRAINING if training else Mode.DECISION_DIRECTED
-        decided = 1 if np.vdot(self.state.w, r).real >= 0.0 else -1
+        decided = _decide(np.vdot(self.state.w, r).real)
         lms_update(self.state, r, true_bit if training else decided)
         return decided
 
@@ -346,8 +344,7 @@ class _FrMberAdapter:
         self.state = init_full_rank(cfg.M, cfg.mu_fr_mber, rho)
 
     def step(self, r, true_bit, training):
-        self.state.mode = Mode.TRAINING if training else Mode.DECISION_DIRECTED
-        decided = 1 if np.vdot(self.state.w, r).real >= 0.0 else -1
+        decided = _decide(np.vdot(self.state.w, r).real)
         mber_full_rank_update(self.state, r, true_bit if training else decided)
         return decided
 
@@ -440,7 +437,12 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
         true_bit = int(bits[i, 0])
         r = windows[i]
         for name, det in detectors.items():
-            decided = det.step(r, true_bit, training)
+            try:
+                decided = det.step(r, true_bit, training)
+            except NumericalError as exc:
+                raise NumericalError(
+                    f"{name} at symbol {i} of trial seed {trial_seed}: {exc}"
+                ) from exc
             decisions[name][i] = decided
             errors[name][i] = decided != true_bit
             if name in ranks:

@@ -8,21 +8,26 @@ scaling of the previous cycle guarantees (the very first cycle starts
 from the all-zero filter, where the update reduces to the pure
 excitation term and the scaling then establishes the constraint).
 
+Each cycle computes ``S^H``, ``z = S^H r``, ``Re x = Re(w^H z)``, ``S w``
+and the update factor once and builds both updates from them; only the
+scaling computes ``S w`` again, on the updated state.  The first cycle
+of a symbol reuses the ``z`` of the decision.  A non-finite filter norm
+raises :class:`~mberlink.errors.NumericalError` instead of passing as
+near zero.
+
 Rank selection truncates the leading columns/entries of a state adapted
 at the maximum allowed rank, renormalizes, and picks the rank whose
 single-sample error-probability estimate is smallest.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detector_core import q_function
-from .errors import ConfigurationError
-
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
-_SCALE_EPS = 1e-12
+from .detector_core import _NORM_EPS, _SQRT_2PI, _decide, q_function
+from .errors import ConfigurationError, NumericalError
 
 
 class Mode(enum.Enum):
@@ -60,7 +65,6 @@ class RankSelectionConfig:
 
     d_min: int
     d_max: int
-    enabled: bool = True
     averaging_factor: float = 0.0
 
     def __post_init__(self):
@@ -98,55 +102,68 @@ def init_state(
     )
 
 
-def _update_factor(x_real: float, b: int, rho: float) -> float:
-    # scalar multiplier shared by both updates; unit-norm state assumed
-    return (
-        np.exp(-(x_real * x_real) / (2.0 * rho * rho))
-        * float(b)
-        / (2.0 * _SQRT_2PI * rho)
-    )
+def _cycle(S, w, r, b, rho, mu_w, mu_S, z=None):
+    """One joint update ``(S_next, w_next)`` from the pre-cycle terms.
+
+    ``S^H``, ``z = S^H r`` (unless given), ``Re x``, ``S w`` and the scalar
+    update factor are each computed once; the factor assumes a unit-norm
+    state.
+    """
+    SH = S.conj().T
+    if z is None:
+        z = SH @ r
+    xr = np.vdot(w, z).real
+    sw = S @ w
+    c = np.exp(-(xr * xr) / (2.0 * rho * rho)) * float(b) / (2.0 * _SQRT_2PI * rho)
+    wc = w.conj()
+    S_next = S + (mu_S * c) * (r[:, None] * wc - xr * (sw[:, None] * wc))
+    w_next = w + (mu_w * c) * (z - xr * (SH @ sw))
+    return S_next, w_next
+
+
+def _unit_norm(S, w):
+    """``(w / ||S w||, False)``, or ``(w, True)`` when ``||S w||^2`` is ~0."""
+    sw = S @ w
+    norm_sq = np.vdot(sw, sw).real
+    if not math.isfinite(norm_sq):
+        raise NumericalError(f"filter norm through the projection is {norm_sq}")
+    if norm_sq < _NORM_EPS:
+        return w, True
+    return w / np.sqrt(norm_sq), False
 
 
 def update_filter(state: JioState, r: np.ndarray, b: int) -> np.ndarray:
     """One filter recursion; returns the new w, state untouched."""
-    S, w = state.S, state.w
-    z = S.conj().T @ r
-    xr = np.vdot(w, z).real
-    shsw = S.conj().T @ (S @ w)
-    c = _update_factor(xr, b, state.rho)
-    return w + (state.mu_w * c) * (z - xr * shsw)
+    return _cycle(state.S, state.w, r, b, state.rho, state.mu_w, state.mu_S)[1]
 
 
 def update_projection(state: JioState, r: np.ndarray, b: int) -> np.ndarray:
     """One projection-matrix recursion; returns the new S, state untouched."""
-    S, w = state.S, state.w
-    z = S.conj().T @ r
-    xr = np.vdot(w, z).real
-    sw = S @ w
-    c = _update_factor(xr, b, state.rho)
-    wc = w.conj()
-    return S + (state.mu_S * c) * (np.outer(r, wc) - xr * np.outer(sw, wc))
+    return _cycle(state.S, state.w, r, b, state.rho, state.mu_w, state.mu_S)[0]
 
 
 def scale_filter(state: JioState) -> JioState:
-    """Rescale w so that w^H S^H S w = 1; skipped (and flagged) near zero."""
-    sw = state.S @ state.w
-    norm_sq = np.vdot(sw, sw).real
-    if norm_sq < _SCALE_EPS:
-        state.scaling_skipped = True
-        return state
-    state.w = state.w / np.sqrt(norm_sq)
-    state.scaling_skipped = False
+    """Rescale w so that w^H S^H S w = 1; skipped (and flagged) near zero.
+
+    A non-finite norm raises :class:`~mberlink.errors.NumericalError`.
+    """
+    state.w, state.scaling_skipped = _unit_norm(state.S, state.w)
     return state
 
 
-def _adapt(state: JioState, r: np.ndarray, b: int) -> None:
+def _adapt(state: JioState, r: np.ndarray, b: int, z: np.ndarray | None = None) -> None:
+    """Run the J inner cycles in place; ``z`` is ``S^H r`` if already known.
+
+    Same arithmetic as :func:`update_filter`, :func:`update_projection`
+    and :func:`scale_filter` applied in turn.
+    """
+    S, w, rho = state.S, state.w, state.rho
+    mu_w, mu_S = state.mu_w, state.mu_S
     for _ in range(state.J):
-        w_next = update_filter(state, r, b)
-        s_next = update_projection(state, r, b)
-        state.w = w_next
-        state.S = s_next
-        scale_filter(state)
+        S, w_next = _cycle(S, w, r, b, rho, mu_w, mu_S, z)
+        w, skipped = _unit_norm(S, w_next)
+        z = None
+    state.S, state.w, state.scaling_skipped = S, w, skipped
 
 
 def jio_step(
@@ -157,10 +174,11 @@ def jio_step(
     The returned decision comes from the state as it stood before any
     update.  In training mode ``b_known`` drives the updates; in
     decision-directed mode the detector's own decision does and
-    ``b_known`` must be omitted.
+    ``b_known`` must be omitted.  A non-finite output raises
+    :class:`~mberlink.errors.NumericalError`.
     """
-    xr = np.vdot(state.w, state.S.conj().T @ r).real
-    decided = 1 if xr >= 0.0 else -1
+    z = state.S.conj().T @ r
+    decided = _decide(np.vdot(state.w, z).real)
     if state.mode is Mode.TRAINING:
         if b_known is None:
             raise ValueError("training mode requires the true bit")
@@ -169,7 +187,7 @@ def jio_step(
         if b_known is not None:
             raise ValueError("decision-directed mode must not receive a bit")
         b = decided
-    _adapt(state, r, b)
+    _adapt(state, r, b, z)
     return state, decided
 
 
@@ -210,7 +228,7 @@ def candidate_error(
     s_d = state.S[:, :D]
     sw = s_d @ w_d
     norm_sq = np.vdot(sw, sw).real
-    if norm_sq < _SCALE_EPS:
+    if norm_sq < _NORM_EPS:
         return 0.5
     xr = np.vdot(w_d, s_d.conj().T @ r).real / np.sqrt(norm_sq)
     signed = abs(xr) if b is None else float(b) * xr

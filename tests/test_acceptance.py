@@ -206,6 +206,7 @@ def test_criterion_04_specialization_equivalence():
     assert identical
 
 
+@pytest.mark.slow
 def test_criterion_05_reference_experiment_ordering(paper_run):
     """Final-500-symbol BER ordering JIO-MBER < FullRankMBER < FullRankLMS,
     each gap beyond twice the combined standard error."""
@@ -239,6 +240,7 @@ def test_criterion_05_reference_experiment_ordering(paper_run):
     assert paper_run.elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_06_auto_rank_benefit(paper_run):
     """Auto-rank final BER within 1.1x of fixed D=8; every selected rank
     inside [D_min, D_max]."""
@@ -262,6 +264,7 @@ def test_criterion_06_auto_rank_benefit(paper_run):
     assert ratio <= 1.1, f"auto-rank BER {auto:.4g} exceeds 1.1x fixed {fixed:.4g}"
 
 
+@pytest.mark.slow
 def test_criterion_07_snr_monotonicity(snr_sweep_run):
     """BER strictly decreasing in SNR beyond 2-sigma Monte Carlo noise for
     every detector; trials are paired across SNR points (common random

@@ -105,3 +105,12 @@ def test_io_error_exit_code(fast_config, tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     code = main(["run", "--config", str(fast_config), "--out", str(missing_dir)])
     assert code == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_numerical_error_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text("num_trials = 1\ndetectors = full_rank_lms\nmu_lms = 10\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert "full_rank_lms at symbol" in capsys.readouterr().err

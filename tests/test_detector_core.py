@@ -16,6 +16,7 @@ from mberlink.detector_core import (
     project,
     q_function,
 )
+from mberlink.errors import NumericalError
 
 # Q(1) frozen from a 50-digit complementary-error-function evaluation
 # (mpmath: 0.5*erfc(1/sqrt(2))).
@@ -91,6 +92,11 @@ class TestFilterAndDecide:
         stat, bit = filter_and_decide(np.array([1 + 0j]), np.array([0j]))
         assert bit == 1
         assert stat.x == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_output_raises(self, bad):
+        with pytest.raises(NumericalError):
+            filter_and_decide(np.array([1 + 0j]), np.array([complex(bad, 0.0)]))
 
     def test_matches_summation_oracle(self):
         rng = np.random.default_rng(2)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from mberlink.errors import ConfigParseError, ConfigurationError
+from mberlink.errors import ConfigParseError, ConfigurationError, NumericalError
 from mberlink.harness import (
     DETECTOR_NAMES,
     ExperimentConfig,
@@ -214,6 +214,16 @@ class TestRunTrial:
         cfg = dataclasses.replace(FAST, snr_db=(5.0, 10.0))
         with pytest.raises(ConfigurationError):
             run_trial(cfg, 0)
+
+    def test_diverging_lms_fails_loudly(self):
+        """An overflowing filter raises, naming the detector and symbol,
+        instead of turning NaN outputs into -1 decisions."""
+        cfg = dataclasses.replace(
+            FAST, dd_symbols=400, mu_lms=10.0, detectors=("full_rank_lms",)
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"full_rank_lms at symbol \d+"):
+                run_trial(cfg, 0)
 
 
 class TestRunMonteCarlo:

@@ -12,7 +12,7 @@ from mberlink.detector_core import (
     gradient_S,
     gradient_w,
 )
-from mberlink.errors import ConfigurationError
+from mberlink.errors import ConfigurationError, NumericalError
 from mberlink.jio_mber import (
     JioState,
     Mode,
@@ -348,3 +348,99 @@ class TestRankSelectionConfig:
     def test_rejects_bad_averaging(self):
         with pytest.raises(ConfigurationError):
             RankSelectionConfig(1, 5, averaging_factor=1.0)
+
+
+def _reference_cycles(state, r, b):
+    """The J inner cycles written out with the original per-function
+    arithmetic (three conjugate copies, ``np.outer``), as the oracle."""
+    for _ in range(state.J):
+        S, w = state.S, state.w
+        z = S.conj().T @ r
+        xr = np.vdot(w, z).real
+        c = (
+            np.exp(-(xr * xr) / (2.0 * state.rho * state.rho))
+            * float(b)
+            / (2.0 * np.sqrt(2.0 * np.pi) * state.rho)
+        )
+        w_next = w + (state.mu_w * c) * (z - xr * (S.conj().T @ (S @ w)))
+        sw = S @ w
+        wc = w.conj()
+        state.S = S + (state.mu_S * c) * (np.outer(r, wc) - xr * np.outer(sw, wc))
+        state.w = w_next
+        sw = state.S @ state.w
+        norm_sq = np.vdot(sw, sw).real
+        state.scaling_skipped = norm_sq < 1e-12
+        if not state.scaling_skipped:
+            state.w = state.w / np.sqrt(norm_sq)
+
+
+def _composed_cycles(state, r, b):
+    for _ in range(state.J):
+        w_next = update_filter(state, r, b)
+        s_next = update_projection(state, r, b)
+        state.w = w_next
+        state.S = s_next
+        scale_filter(state)
+
+
+class TestFusedCycles:
+    M = 33
+
+    @pytest.mark.parametrize("d", [1, 8, 20, 33])
+    @pytest.mark.parametrize("j", [1, 5])
+    def test_bit_identical_to_composed_updates(self, d, j):
+        """jio_step equals decide-then-compose, bit for bit, at every symbol:
+        all-zero start, forced scaling skips, training then decision-directed."""
+        rng = np.random.default_rng(100 + d + j)
+        fused = init_state(self.M, d, 0.05, 0.05, j, 0.35)
+        composed = copy.deepcopy(fused)
+        reference = copy.deepcopy(fused)
+        codes = rng.choice([-1.0, 1.0], size=(3, self.M))
+        zero = np.zeros(self.M, dtype=complex)
+        for i in range(240):
+            training = i < 80
+            bits = rng.choice([-1, 1], size=3)
+            noise = rng.standard_normal(self.M) + 1j * rng.standard_normal(self.M)
+            r = bits @ codes + 0.3 * noise
+            if i == 150:
+                # back to the zero filter: the skip must happen again
+                for s in (fused, composed, reference):
+                    s.w = np.zeros(d, dtype=complex)
+            if i < 3 or i == 150:
+                r = zero
+            for s in (fused, composed, reference):
+                s.mode = Mode.TRAINING if training else Mode.DECISION_DIRECTED
+            b_known = int(bits[0]) if training else None
+            _, decided = jio_step(fused, r, b_known)
+            expected = 1 if np.vdot(composed.w, composed.S.conj().T @ r).real >= 0 else -1
+            assert decided == expected
+            b = b_known if training else expected
+            _composed_cycles(composed, r, b)
+            _reference_cycles(reference, r, b)
+            for other in (composed, reference):
+                assert np.array_equal(fused.S, other.S), i
+                assert np.array_equal(fused.w, other.w), i
+                assert fused.scaling_skipped == other.scaling_skipped, i
+            assert fused.scaling_skipped == (i < 3 or i == 150), i
+
+
+class TestNonFinite:
+    def test_scale_filter_raises_on_nan_norm(self):
+        state = init_state(5, 2, 0.1, 0.1, 1, 1.0)
+        state.w = np.array([np.nan, 1.0], dtype=complex)
+        with pytest.raises(NumericalError):
+            scale_filter(state)
+
+    def test_jio_step_raises_on_nan_output(self):
+        state = init_state(5, 2, 0.1, 0.1, 1, 1.0)
+        state.w = np.array([np.nan, 1.0], dtype=complex)
+        with pytest.raises(NumericalError):
+            jio_step(state, np.ones(5, dtype=complex), 1)
+
+    def test_adaptation_raises_when_state_overflows(self):
+        state = init_state(5, 2, 0.1, 0.1, 1, 1.0)
+        state.S = np.full((5, 2), 1e200, dtype=complex)
+        state.w = np.array([1e-200, 0.0], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError):
+                jio_step(state, np.ones(5, dtype=complex), 1)
