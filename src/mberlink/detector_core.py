@@ -10,13 +10,17 @@ Gradient convention: for a real cost f of complex variables, the
 returned arrays are df/d(conj(z)), so the real/imaginary partials are
 ``2*Re`` and ``2*Im`` of the returned entries and a descent step is
 ``z - mu * gradient``.
+
+Only numpy is imported with this module.  :func:`q_function` loads
+``scipy.special.erfc`` on its first call, so scipy is paid for only by
+the Q-function and its callers (:func:`error_probability`,
+``candidate_error``/``select_rank`` and rank averaging in the harness).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import NumericalError
 
@@ -78,6 +82,8 @@ def filter_and_decide(w: np.ndarray, rbar: np.ndarray) -> tuple[DecisionStatisti
 
 def q_function(x):
     """Gaussian tail probability Q(x) = P(Z > x), Z standard normal."""
+    from scipy.special import erfc  # imported here: only Q needs scipy
+
     return 0.5 * erfc(x / _SQRT2)
 
 

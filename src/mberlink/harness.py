@@ -18,7 +18,6 @@ import dataclasses
 import functools
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +30,9 @@ from .jio_mber import (
     Mode,
     RankSelectionConfig,
     _adapt,
+    _truncated_statistics,
     init_state,
     jio_step,
-    truncated_statistics,
 )
 from .signal_model import JakesChannel, UserConfig, generate_gold_family, synthesize_arrays
 
@@ -304,7 +303,7 @@ class _JioAutoAdapter:
     def step(self, r, true_bit, training):
         state = self.state
         lo = self.ranks.d_min - 1
-        x, n = truncated_statistics(state, r)
+        x, n, z = _truncated_statistics(state, r)
         xr = x.real[lo : self.ranks.d_max]
         nn = n[lo : self.ranks.d_max]
         valid = nn >= _NORM_EPS
@@ -325,7 +324,7 @@ class _JioAutoAdapter:
         state.active_rank = d_opt
         self.last_rank = d_opt
         decided = _decide(xr[pick])
-        _adapt(state, r, true_bit if training else decided)
+        _adapt(state, r, true_bit if training else decided, z)
         return decided
 
 
@@ -507,6 +506,8 @@ def run_monte_carlo(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     seeds = [cfg.base_seed + t for t in range(cfg.num_trials)]
     worker = functools.partial(run_trial, cfg)
     if jobs > 1 and cfg.num_trials > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, cfg.num_trials // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             trials = list(pool.map(worker, seeds, chunksize=chunk))

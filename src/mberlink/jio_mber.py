@@ -200,11 +200,17 @@ def truncated_statistics(
     taps and projection columns: ``x[d] = w_d^H S_d^H r`` and
     ``n[d] = ||S_d w_d||^2``, computed without renormalization.
     """
+    x, n, _ = _truncated_statistics(state, r)
+    return x, n
+
+
+def _truncated_statistics(state: JioState, r: np.ndarray):
+    """:func:`truncated_statistics` plus the ``z = S^H r`` it was built on."""
     z = state.S.conj().T @ r
     x = np.cumsum(state.w.conj() * z)
     sw = np.cumsum(state.S * state.w[None, :], axis=1)
     n = (sw.real**2 + sw.imag**2).sum(axis=0)
-    return x, n
+    return x, n, z
 
 
 def candidate_error(

@@ -159,7 +159,6 @@ class JakesChannel:
         # amplitude scale per tap, profile normalized so tap 0 is 0 dB
         rel_db = profile - profile[0]
         self._amplitude = np.sqrt(10.0 ** (rel_db / 10.0))
-        self._index = 0
 
     def taps_for(self, symbols: np.ndarray) -> np.ndarray:
         """Tap values for the given symbol indices, shape (len, num_taps)."""
@@ -176,17 +175,6 @@ class JakesChannel:
                 )
         return out
 
-    def step(self) -> np.ndarray:
-        """Advance one symbol and return the Lp tap values."""
-        taps = self.taps_for(np.array([self._index]))[0]
-        self._index += 1
-        return taps
-
-    @property
-    def taps(self) -> np.ndarray:
-        """Tap values at the most recently stepped symbol."""
-        return self.taps_for(np.array([max(self._index - 1, 0)]))[0]
-
 
 class StaticChannel:
     """Time-invariant channel with fixed complex taps (toy scenarios)."""
@@ -201,13 +189,6 @@ class StaticChannel:
     def taps_for(self, symbols: np.ndarray) -> np.ndarray:
         symbols = np.asarray(symbols)
         return np.tile(self._taps, (symbols.shape[0], 1))
-
-    def step(self) -> np.ndarray:
-        return self._taps.copy()
-
-    @property
-    def taps(self) -> np.ndarray:
-        return self._taps.copy()
 
 
 @dataclass
@@ -294,7 +275,9 @@ def synthesize_arrays(
         bits[:, j] = b
         conv = build_convolution_matrix(user.code, lp)
         taps = user.channel.taps_for(idx)
-        footprint = (user.amplitude * b.astype(np.float64))[:, None] * (taps @ conv.T)
+        # scaled in place: one (num_symbols x M) temporary per user, not two
+        footprint = taps @ conv.T
+        footprint *= (user.amplitude * b.astype(np.float64))[:, None]
         head = stream[: num_symbols * n].reshape(num_symbols, n)
         head += footprint[:, :n]
         if lp > 1:

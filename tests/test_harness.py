@@ -1,11 +1,13 @@
 """Tests for config parsing, trial execution, Monte Carlo and CSV output."""
 
+import copy
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from mberlink.detector_core import q_function
 from mberlink.errors import ConfigParseError, ConfigurationError, NumericalError
 from mberlink.harness import (
     DETECTOR_NAMES,
@@ -23,8 +25,9 @@ from mberlink.harness import (
     validate_config,
     write_config,
 )
-from mberlink.signal_model import synthesize_arrays
 from mberlink.harness import _build_users
+from mberlink.jio_mber import _adapt, truncated_statistics
+from mberlink.signal_model import synthesize_arrays
 
 # small, fast configuration for plumbing tests
 FAST = ExperimentConfig(
@@ -224,6 +227,65 @@ class TestRunTrial:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match=r"full_rank_lms at symbol \d+"):
                 run_trial(cfg, 0)
+
+
+def _two_pass_auto_step(adapter, r, true_bit, training):
+    """The auto adapter's step with ``S^H r`` computed twice: once for the
+    truncated statistics and again in the first adaptation cycle."""
+    state, ranks = adapter.state, adapter.ranks
+    lo = ranks.d_min - 1
+    x, n = truncated_statistics(state, r)
+    xr = x.real[lo : ranks.d_max]
+    nn = n[lo : ranks.d_max]
+    valid = nn >= 1e-12
+    if training:
+        reference = true_bit
+    else:
+        reference = 1 if x.real[state.w.shape[0] - 1] >= 0.0 else -1
+    stat = np.where(valid, reference * xr / np.sqrt(np.where(valid, nn, 1.0)), 0.0)
+    if ranks.averaging_factor > 0.0:
+        p = q_function(stat / state.rho)
+        lam = ranks.averaging_factor
+        adapter._avg = p if adapter._avg is None else lam * adapter._avg + (1 - lam) * p
+        pick = int(np.argmin(adapter._avg))
+    else:
+        pick = int(np.argmax(stat))
+    adapter.last_rank = ranks.d_min + pick
+    decided = 1 if xr[pick] >= 0.0 else -1
+    _adapt(state, r, true_bit if training else decided)
+    return decided
+
+
+class TestAutoAdapterReusedProjection:
+    @pytest.mark.parametrize("j", [1, 5])
+    @pytest.mark.parametrize("averaging", [0.0, 0.5])
+    def test_bit_identical_to_two_pass_step(self, j, averaging):
+        """Handing the statistics' S^H r to the first cycle changes nothing:
+        S, w, rank and decision agree bit for bit at every symbol, through
+        training and then decision-directed operation."""
+        cfg = dataclasses.replace(
+            ExperimentConfig(),
+            J=j,
+            rank_averaging=averaging,
+            tr_symbols=80,
+            dd_symbols=160,
+        )
+        seed = 2024
+        sigma = noise_sigma(cfg, cfg.snr_db)
+        rho = kernel_radius(cfg, sigma)
+        windows, bits = synthesize_arrays(
+            _build_users(cfg, seed), cfg.num_symbols, sigma, seed
+        )
+        reused = _ADAPTERS["jio_mber_auto"](cfg, rho)
+        two_pass = copy.deepcopy(reused)
+        for i in range(cfg.num_symbols):
+            training = i < cfg.tr_symbols
+            true_bit = int(bits[i, 0])
+            decided = reused.step(windows[i], true_bit, training)
+            assert decided == _two_pass_auto_step(two_pass, windows[i], true_bit, training), i
+            assert reused.last_rank == two_pass.last_rank, i
+            assert np.array_equal(reused.state.S, two_pass.state.S), i
+            assert np.array_equal(reused.state.w, two_pass.state.w), i
 
 
 class TestRunMonteCarlo:

@@ -157,12 +157,6 @@ class TestJakesChannel:
         b = JakesChannel([0.0, -3.0], 1e-4, seed=11).taps_for(np.arange(50))
         assert np.array_equal(a, b)
 
-    def test_step_matches_taps_for(self):
-        ch = JakesChannel([0.0, -7.0], 2e-4, seed=5)
-        stepped = np.stack([ch.step() for _ in range(10)])
-        reference = JakesChannel([0.0, -7.0], 2e-4, seed=5).taps_for(np.arange(10))
-        assert np.array_equal(stepped, reference)
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
             JakesChannel([], 1e-4, seed=0)
