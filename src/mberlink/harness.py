@@ -370,6 +370,7 @@ class TrialResult:
     true_bits: np.ndarray
     selected_ranks: dict
     tr_symbols: int
+    stage_s: dict
 
 
 @functools.lru_cache(maxsize=4)
@@ -417,9 +418,11 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
         )
     sigma = noise_sigma(cfg, cfg.snr_db)
     rho = kernel_radius(cfg, sigma)
+    start = time.perf_counter()
     users = _build_users(cfg, trial_seed)
     num_symbols = cfg.num_symbols
     windows, bits = synthesize_arrays(users, num_symbols, sigma, trial_seed)
+    synthesized = time.perf_counter()
 
     detectors = {name: _ADAPTERS[name](cfg, rho) for name in cfg.detectors}
     errors = {name: np.zeros(num_symbols, dtype=np.uint8) for name in cfg.detectors}
@@ -452,6 +455,10 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
         true_bits=bits[:, 0].copy(),
         selected_ranks=ranks,
         tr_symbols=tr,
+        stage_s={
+            "synthesis": synthesized - start,
+            "detection": time.perf_counter() - synthesized,
+        },
     )
 
 
@@ -476,6 +483,8 @@ class ExperimentResult:
     base_seed: int
     wall_time_s: float
     version: str
+    # seconds summed over trials; CPU-seconds across workers when jobs > 1
+    stage_s: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -493,6 +502,8 @@ class SweepResult:
     config: ExperimentConfig
     wall_time_s: float
     version: str
+    # stage seconds summed over every grid point's trials
+    stage_s: dict = field(default_factory=dict)
 
 
 def run_monte_carlo(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
@@ -552,7 +563,16 @@ def run_monte_carlo(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         base_seed=cfg.base_seed,
         wall_time_s=time.perf_counter() - start,
         version=f"mberlink-{__version__}",
+        stage_s=_sum_stages(t.stage_s for t in trials),
     )
+
+
+def _sum_stages(stage_dicts) -> dict:
+    total = {}
+    for stages in stage_dicts:
+        for stage, seconds in stages.items():
+            total[stage] = total.get(stage, 0.0) + seconds
+    return total
 
 
 _SWEEP_AXES = ("snr", "users", "rank")
@@ -590,12 +610,14 @@ def sweep(cfg: ExperimentConfig, axis: str, jobs: int = 1) -> SweepResult:
 
     base_snr = cfg.snr_db if not isinstance(cfg.snr_db, tuple) else 15.0
     rows = []
+    stages = []
     for point in points:
         overrides = make(point)
         if axis != "snr":
             overrides.setdefault("snr_db", base_snr)
         point_cfg = dataclasses.replace(cfg, **overrides)
         result = run_monte_carlo(point_cfg, jobs=jobs)
+        stages.append(result.stage_s)
         for name in point_cfg.detectors:
             rows.append(
                 SweepRow(
@@ -611,6 +633,7 @@ def sweep(cfg: ExperimentConfig, axis: str, jobs: int = 1) -> SweepResult:
         config=cfg,
         wall_time_s=time.perf_counter() - start,
         version=f"mberlink-{__version__}",
+        stage_s=_sum_stages(stages),
     )
 
 
@@ -644,12 +667,16 @@ def _write_sidecar(path: str, kind: str, result) -> None:
         "kind": kind,
         "version": result.version,
         "wall_time_s": result.wall_time_s,
+        "stage_s": result.stage_s,
         "config": _config_dict(result.config),
     }
     if kind == "trace":
         meta["base_seed"] = result.base_seed
         meta["num_trials"] = result.num_trials
         meta["final_window"] = result.final_window
+        meta["rank_counts"] = {
+            name: counts.tolist() for name, counts in result.rank_counts.items()
+        }
     else:
         meta["axis"] = result.axis
     with open(path + ".meta.json", "w", encoding="utf-8") as fh:

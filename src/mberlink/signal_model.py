@@ -24,6 +24,10 @@ _PREFERRED_PAIRS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
 # user bit generators use the (small) code user_id as their spawn key.
 _NOISE_SPAWN_KEY = 0x7FFFFFFF
 
+# symbols per block of footprint and noise synthesis; the working set of
+# synthesize_arrays is the stream plus buffers of this many symbols
+_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class SpreadingCode:
@@ -231,6 +235,13 @@ def synthesize_arrays(
     with per-chip variance ``sigma**2`` is added to the whole stream;
     per-window noise covariance is therefore ``sigma**2 * I``.
 
+    The windows are a read-only view of that stream, not a copy: each row
+    is contiguous, and neighbouring rows share their ``Lp - 1`` ISI chips.
+    The working set is the stream plus fixed-size buffers: footprints and
+    noise are built a fixed number of symbols at a time, so no
+    stream-sized temporary is made.  The result is bit-identical to
+    building every footprint and all the noise at once.
+
     Per-user bits come from generators spawned off ``seed`` with the
     user's code id, so a user's bit/channel realization is independent of
     which other users are present.
@@ -266,6 +277,11 @@ def synthesize_arrays(
     stream = np.zeros(num_symbols * n + n, dtype=np.complex128)
     bits = np.empty((num_symbols, k), dtype=np.int8)
     idx = np.arange(num_symbols)
+    head = stream[: num_symbols * n].reshape(num_symbols, n)
+    tail = stream[n : n + num_symbols * n].reshape(num_symbols, n)[:, : lp - 1]
+    block = min(_BLOCK, num_symbols)
+    footprint = np.empty((block, m), dtype=np.complex128)
+    isi = np.empty((num_symbols, lp - 1), dtype=np.complex128)
 
     for j, user in enumerate(users):
         bit_rng = np.random.default_rng(
@@ -273,29 +289,43 @@ def synthesize_arrays(
         )
         b = 1 - 2 * bit_rng.integers(0, 2, size=num_symbols).astype(np.int8)
         bits[:, j] = b
-        conv = build_convolution_matrix(user.code, lp)
+        conv_t = build_convolution_matrix(user.code, lp).T
         taps = user.channel.taps_for(idx)
-        # scaled in place: one (num_symbols x M) temporary per user, not two
-        footprint = taps @ conv.T
-        footprint *= (user.amplitude * b.astype(np.float64))[:, None]
-        head = stream[: num_symbols * n].reshape(num_symbols, n)
-        head += footprint[:, :n]
-        if lp > 1:
-            tail = stream[n : n + num_symbols * n].reshape(num_symbols, n)
-            tail[:, : lp - 1] += footprint[:, n:]
+        gain = user.amplitude * b.astype(np.float64)
+        s0 = 0
+        while s0 < num_symbols:
+            s1 = min(s0 + block, num_symbols)
+            if num_symbols - s1 == 1:
+                # numpy multiplies a single row with gemv, which rounds
+                # differently from the gemm of a longer block
+                s1 -= 1
+            fp = footprint[: s1 - s0]
+            np.matmul(taps[s0:s1], conv_t, out=fp)
+            fp *= gain[s0:s1, None]
+            head[s0:s1] += fp[:, :n]
+            isi[s0:s1] = fp[:, n:]
+            s0 = s1
+        # the tails go in after every head: symbol i's tail lands on symbol
+        # i+1's head, and this keeps the order of those two additions
+        tail += isi
 
     if sigma > 0:
         noise_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(_NOISE_SPAWN_KEY,))
         )
         scale = sigma / np.sqrt(2.0)
-        stream[:num_chips] += scale * (
-            noise_rng.standard_normal(num_chips)
-            + 1j * noise_rng.standard_normal(num_chips)
-        )
+        noise = np.empty(min(_BLOCK * n, num_chips))
+        # all real parts, then all imaginary parts: the generator's order
+        # is what makes a seed's stream reproducible
+        for part in (stream.real, stream.imag):
+            for c0 in range(0, num_chips, noise.shape[0]):
+                c1 = min(c0 + noise.shape[0], num_chips)
+                chunk = noise[: c1 - c0]
+                noise_rng.standard_normal(out=chunk)
+                chunk *= scale
+                part[c0:c1] += chunk
 
-    windows = np.lib.stride_tricks.sliding_window_view(stream[:num_chips], m)[::n]
-    return windows.copy(), bits
+    return np.lib.stride_tricks.sliding_window_view(stream[:num_chips], m)[::n], bits
 
 
 def synthesize_stream(

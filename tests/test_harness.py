@@ -439,6 +439,20 @@ class TestEmitCsv:
         assert meta["config"]["K"] == FAST.K
         assert meta["base_seed"] == FAST.base_seed
         assert meta["version"].startswith("mberlink-")
+        stages = meta["stage_s"]
+        assert set(stages) == {"synthesis", "detection"}
+        assert all(seconds > 0 for seconds in stages.values())
+        assert sum(stages.values()) <= meta["wall_time_s"]
+        counts = meta["rank_counts"]["jio_mber_auto"]
+        assert counts == mc.rank_counts["jio_mber_auto"].tolist()
+        assert len(counts) == FAST.D_max + 1
+        assert sum(counts[FAST.D_min :]) == FAST.num_trials * FAST.num_symbols
+
+        swept = sweep(dataclasses.replace(FAST, num_trials=1), axis="rank")
+        emit_csv(swept, tmp_path / "sweep.csv")
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert set(meta["stage_s"]) == {"synthesis", "detection"}
+        assert "rank_counts" not in meta
 
     def test_byte_identical_for_same_config_and_seed(self, tmp_path):
         path_a = tmp_path / "a.csv"

@@ -1,5 +1,7 @@
 """Tests for spreading codes, fading channels and stream synthesis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from mberlink.errors import ConfigurationError
 from mberlink.signal_model import (
+    _BLOCK,
+    _NOISE_SPAWN_KEY,
     JakesChannel,
     SpreadingCode,
     StaticChannel,
@@ -262,3 +266,109 @@ class TestSynthesize:
         user = UserConfig(1.0, code, StaticChannel([1.0]))
         with pytest.raises(ConfigurationError):
             synthesize_arrays([user], 5, sigma=-1.0, seed=1)
+
+
+def _reference_synthesize_arrays(users, num_symbols, sigma, seed, *, spreading_gain=None, paths=None):
+    """The whole-stream synthesis that block synthesis must reproduce bit for bit."""
+    if users:
+        n = users[0].code.length
+        lp = users[0].channel.num_taps
+    else:
+        n, lp = spreading_gain, paths
+    m = n + lp - 1
+    k = len(users)
+    num_chips = num_symbols * n + lp - 1
+    stream = np.zeros(num_symbols * n + n, dtype=np.complex128)
+    bits = np.empty((num_symbols, k), dtype=np.int8)
+    idx = np.arange(num_symbols)
+
+    for j, user in enumerate(users):
+        bit_rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(user.code.user_id,))
+        )
+        b = 1 - 2 * bit_rng.integers(0, 2, size=num_symbols).astype(np.int8)
+        bits[:, j] = b
+        conv = build_convolution_matrix(user.code, lp)
+        taps = user.channel.taps_for(idx)
+        footprint = taps @ conv.T
+        footprint *= (user.amplitude * b.astype(np.float64))[:, None]
+        head = stream[: num_symbols * n].reshape(num_symbols, n)
+        head += footprint[:, :n]
+        if lp > 1:
+            tail = stream[n : n + num_symbols * n].reshape(num_symbols, n)
+            tail[:, : lp - 1] += footprint[:, n:]
+
+    if sigma > 0:
+        noise_rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(_NOISE_SPAWN_KEY,))
+        )
+        scale = sigma / np.sqrt(2.0)
+        stream[:num_chips] += scale * (
+            noise_rng.standard_normal(num_chips)
+            + 1j * noise_rng.standard_normal(num_chips)
+        )
+
+    windows = np.lib.stride_tricks.sliding_window_view(stream[:num_chips], m)[::n]
+    return windows.copy(), bits
+
+
+def jakes_users(degree, k, profile=(0.0, -7.0, -10.0), amplitudes=None, seed=1234):
+    family = generate_gold_family(degree)
+    return [
+        UserConfig(
+            amplitudes[j] if amplitudes else 1.0,
+            family[j],
+            JakesChannel(profile, 5e-5, seed=seed * 100 + j),
+        )
+        for j in range(k)
+    ]
+
+
+SIGMA_15DB = 10.0 ** (-15.0 / 20.0)
+
+BLOCK_SYNTHESIS_CASES = {
+    "N31_K5": lambda: (jakes_users(5, 5), 1750, SIGMA_15DB, {}),
+    "N127_K16": lambda: (jakes_users(7, 16), 1750, SIGMA_15DB, {}),
+    "unequal_amplitudes": lambda: (
+        jakes_users(5, 5, amplitudes=(1.0, 0.5, 2.0, 1.3, 0.7)),
+        1750,
+        SIGMA_15DB,
+        {},
+    ),
+    "Lp1": lambda: (jakes_users(5, 5, profile=(0.0,)), 1750, 0.01, {}),
+    "sigma0": lambda: (jakes_users(5, 5), 1750, 0.0, {}),
+    "noise_only": lambda: ([], 1750, 1.0, {"spreading_gain": 31, "paths": 3}),
+    "one_symbol": lambda: (jakes_users(5, 5), 1, SIGMA_15DB, {}),
+    "block_minus_1": lambda: (jakes_users(5, 5), _BLOCK - 1, SIGMA_15DB, {}),
+    "block": lambda: (jakes_users(5, 5), _BLOCK, SIGMA_15DB, {}),
+    "block_plus_1": lambda: (jakes_users(7, 16), _BLOCK + 1, SIGMA_15DB, {}),
+}
+
+
+class TestBlockSynthesis:
+    @pytest.mark.parametrize("case", sorted(BLOCK_SYNTHESIS_CASES))
+    def test_matches_whole_stream_reference(self, case):
+        users, num_symbols, sigma, dims = BLOCK_SYNTHESIS_CASES[case]()
+        windows, bits = synthesize_arrays(users, num_symbols, sigma, seed=77, **dims)
+        ref_windows, ref_bits = _reference_synthesize_arrays(
+            users, num_symbols, sigma, seed=77, **dims
+        )
+        assert windows.shape == ref_windows.shape
+        assert np.array_equal(windows, ref_windows)
+        assert np.array_equal(bits, ref_bits)
+        assert not windows.flags.writeable
+        assert all(row.flags.c_contiguous for row in windows)
+
+    def test_working_set_is_the_stream_plus_fixed_buffers(self):
+        """Peak allocation stays within 2 MiB of the chip stream at N=127, K=16."""
+        users = jakes_users(7, 16)
+        num_symbols = 1750
+        stream_bytes = (num_symbols * 127 + 127) * np.dtype(np.complex128).itemsize
+        tracemalloc.start()
+        try:
+            windows, _ = synthesize_arrays(users, num_symbols, SIGMA_15DB, seed=77)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert windows.shape == (num_symbols, 129)
+        assert peak <= stream_bytes + 2 * 2**20, (peak, stream_bytes)
