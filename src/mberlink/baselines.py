@@ -26,24 +26,38 @@ def init_full_rank(M: int, mu: float, rho: float | None = None) -> FullRankState
     return FullRankState(w=np.zeros(M, dtype=np.complex128), mu=mu, rho=rho)
 
 
-def lms_update(state: FullRankState, r: np.ndarray, b: int) -> FullRankState:
-    """Standard complex LMS step toward the reference bit b."""
-    e = float(b) - np.vdot(state.w, r)
+def lms_update(
+    state: FullRankState, r: np.ndarray, b: int, wr: complex | None = None
+) -> FullRankState:
+    """Standard complex LMS step toward the reference bit b.
+
+    ``wr`` is the output ``w^H r`` when the caller already formed it for
+    the decision; it is computed here otherwise.
+    """
+    if wr is None:
+        wr = np.vdot(state.w, r)
+    e = float(b) - wr
     state.w = state.w + state.mu * np.conj(e) * r
     return state
 
 
-def mber_full_rank_update(state: FullRankState, r: np.ndarray, b: int) -> FullRankState:
+def mber_full_rank_update(
+    state: FullRankState, r: np.ndarray, b: int, wr: complex | None = None
+) -> FullRankState:
     """Minimum-BER stochastic-gradient step with unit-norm rescaling.
 
     This is the reduced-rank filter recursion specialized to an identity
     projection at full rank, followed by scaling to ||w|| = 1 (skipped,
-    and flagged, while the filter is still the all-zero init).
+    and flagged, while the filter is still the all-zero init).  ``wr`` is
+    the output ``w^H r`` if the caller already formed it, as in
+    :func:`lms_update`.
     """
     if state.rho is None or not state.rho > 0:
         raise ConfigurationError("MBER update requires a positive rho")
     w = state.w
-    xr = np.vdot(w, r).real
+    if wr is None:
+        wr = np.vdot(w, r)
+    xr = wr.real
     c = (
         np.exp(-(xr * xr) / (2.0 * state.rho * state.rho))
         * float(b)

@@ -333,8 +333,9 @@ class _LmsAdapter:
         self.state = init_full_rank(cfg.M, cfg.mu_lms)
 
     def step(self, r, true_bit, training):
-        decided = _decide(np.vdot(self.state.w, r).real)
-        lms_update(self.state, r, true_bit if training else decided)
+        wr = np.vdot(self.state.w, r)
+        decided = _decide(wr.real)
+        lms_update(self.state, r, true_bit if training else decided, wr)
         return decided
 
 
@@ -343,8 +344,9 @@ class _FrMberAdapter:
         self.state = init_full_rank(cfg.M, cfg.mu_fr_mber, rho)
 
     def step(self, r, true_bit, training):
-        decided = _decide(np.vdot(self.state.w, r).real)
-        mber_full_rank_update(self.state, r, true_bit if training else decided)
+        wr = np.vdot(self.state.w, r)
+        decided = _decide(wr.real)
+        mber_full_rank_update(self.state, r, true_bit if training else decided, wr)
         return decided
 
 
@@ -363,7 +365,12 @@ _ADAPTERS = {
 
 @dataclass
 class TrialResult:
-    """Per-symbol records of one trial (all detectors share the stream)."""
+    """Per-symbol records of one trial (all detectors share the stream).
+
+    ``health`` holds counters that flag a silently failing detector; they
+    never change a decision.  For ``full_rank_lms`` it counts the symbols
+    whose step is unstable (see :func:`_lms_health`).
+    """
 
     errors: dict
     decisions: dict
@@ -371,6 +378,7 @@ class TrialResult:
     selected_ranks: dict
     tr_symbols: int
     stage_s: dict
+    health: dict = field(default_factory=dict)
 
 
 @functools.lru_cache(maxsize=4)
@@ -409,6 +417,20 @@ def _build_users(cfg: ExperimentConfig, trial_seed: int) -> list[UserConfig]:
     return users
 
 
+def _lms_health(windows: np.ndarray, mu: float) -> dict:
+    """Symbols where one LMS step cannot shrink its error.
+
+    A step scales the error of its own symbol by ``1 - mu * ||r||^2``, so
+    from ``mu * ||r||^2 >= 2`` on it grows instead: enough such symbols
+    make the filter diverge while every output stays finite.
+    """
+    unstable = np.flatnonzero(mu * np.vecdot(windows, windows).real >= 2.0)
+    return {
+        "unstable_steps": int(unstable.size),
+        "first_unstable_step": int(unstable[0]) if unstable.size else None,
+    }
+
+
 def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
     """One seeded trial over tr_symbols training + dd_symbols DD symbols."""
     validate_config(cfg)
@@ -425,7 +447,6 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
     synthesized = time.perf_counter()
 
     detectors = {name: _ADAPTERS[name](cfg, rho) for name in cfg.detectors}
-    errors = {name: np.zeros(num_symbols, dtype=np.uint8) for name in cfg.detectors}
     decisions = {name: np.zeros(num_symbols, dtype=np.int8) for name in cfg.detectors}
     ranks = {
         name: np.zeros(num_symbols, dtype=np.int16)
@@ -434,9 +455,9 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
     }
 
     tr = cfg.tr_symbols
-    for i in range(num_symbols):
+    truth = bits[:, 0]
+    for i, true_bit in enumerate(truth.tolist()):
         training = i < tr
-        true_bit = int(bits[i, 0])
         r = windows[i]
         for name, det in detectors.items():
             try:
@@ -446,19 +467,23 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
                     f"{name} at symbol {i} of trial seed {trial_seed}: {exc}"
                 ) from exc
             decisions[name][i] = decided
-            errors[name][i] = decided != true_bit
             if name in ranks:
                 ranks[name][i] = det.last_rank
+    errors = {name: (dec != truth).astype(np.uint8) for name, dec in decisions.items()}
+    health = {}
+    if "full_rank_lms" in detectors:
+        health["full_rank_lms"] = _lms_health(windows, cfg.mu_lms)
     return TrialResult(
         errors=errors,
         decisions=decisions,
-        true_bits=bits[:, 0].copy(),
+        true_bits=truth.copy(),
         selected_ranks=ranks,
         tr_symbols=tr,
         stage_s={
             "synthesis": synthesized - start,
             "detection": time.perf_counter() - synthesized,
         },
+        health=health,
     )
 
 
@@ -485,6 +510,8 @@ class ExperimentResult:
     version: str
     # seconds summed over trials; CPU-seconds across workers when jobs > 1
     stage_s: dict = field(default_factory=dict)
+    # health counters summed over trials (see _sum_health)
+    health: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -504,6 +531,8 @@ class SweepResult:
     version: str
     # stage seconds summed over every grid point's trials
     stage_s: dict = field(default_factory=dict)
+    # each grid point's health counters, keyed by its CSV axis value
+    health: dict = field(default_factory=dict)
 
 
 def run_monte_carlo(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
@@ -564,6 +593,7 @@ def run_monte_carlo(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         wall_time_s=time.perf_counter() - start,
         version=f"mberlink-{__version__}",
         stage_s=_sum_stages(t.stage_s for t in trials),
+        health=_sum_health(trials),
     )
 
 
@@ -573,6 +603,22 @@ def _sum_stages(stage_dicts) -> dict:
         for stage, seconds in stages.items():
             total[stage] = total.get(stage, 0.0) + seconds
     return total
+
+
+def _sum_health(trials) -> dict:
+    """LMS counts summed over trials, how many trials had any, and the
+    earliest first unstable symbol (None if none)."""
+    lms = [t.health["full_rank_lms"] for t in trials if t.health]
+    if not lms:
+        return {}
+    firsts = [h["first_unstable_step"] for h in lms if h["unstable_steps"]]
+    return {
+        "full_rank_lms": {
+            "unstable_steps": sum(h["unstable_steps"] for h in lms),
+            "unstable_trials": len(firsts),
+            "first_unstable_step": min(firsts, default=None),
+        }
+    }
 
 
 _SWEEP_AXES = ("snr", "users", "rank")
@@ -611,6 +657,7 @@ def sweep(cfg: ExperimentConfig, axis: str, jobs: int = 1) -> SweepResult:
     base_snr = cfg.snr_db if not isinstance(cfg.snr_db, tuple) else 15.0
     rows = []
     stages = []
+    health = {}
     for point in points:
         overrides = make(point)
         if axis != "snr":
@@ -618,6 +665,8 @@ def sweep(cfg: ExperimentConfig, axis: str, jobs: int = 1) -> SweepResult:
         point_cfg = dataclasses.replace(cfg, **overrides)
         result = run_monte_carlo(point_cfg, jobs=jobs)
         stages.append(result.stage_s)
+        if result.health:
+            health[_fmt(float(point))] = result.health
         for name in point_cfg.detectors:
             rows.append(
                 SweepRow(
@@ -634,6 +683,7 @@ def sweep(cfg: ExperimentConfig, axis: str, jobs: int = 1) -> SweepResult:
         wall_time_s=time.perf_counter() - start,
         version=f"mberlink-{__version__}",
         stage_s=_sum_stages(stages),
+        health=health,
     )
 
 
@@ -668,6 +718,7 @@ def _write_sidecar(path: str, kind: str, result) -> None:
         "version": result.version,
         "wall_time_s": result.wall_time_s,
         "stage_s": result.stage_s,
+        "health": result.health,
         "config": _config_dict(result.config),
     }
     if kind == "trace":

@@ -165,15 +165,37 @@ class JakesChannel:
         self._amplitude = np.sqrt(10.0 ** (rel_db / 10.0))
 
     def taps_for(self, symbols: np.ndarray) -> np.ndarray:
-        """Tap values for the given symbol indices, shape (len, num_taps)."""
+        """Tap values for the given symbol indices, shape (len, num_taps).
+
+        Each cosine argument is built oscillator-major, ``(osc, len)``, so
+        the elementwise loops run over the symbols.  The cosines are then
+        copied symbol-major before ``sum(axis=1)``: numpy adds each
+        symbol's oscillators in its pairwise order, and that order fixes
+        the last bit of every tap.
+        """
         symbols = np.asarray(symbols, dtype=np.float64)
-        out = np.empty((symbols.shape[0], self.num_taps), dtype=np.complex128)
-        chunk = 1 << 15
-        for start in range(0, symbols.shape[0], chunk):
+        num = symbols.shape[0]
+        out = np.empty((num, self.num_taps), dtype=np.complex128)
+        chunk = max(1, min(num, 1 << 15))
+        n_osc = self._freq_i.shape[1]
+        arg = np.empty((n_osc, chunk))
+        cosines = np.empty((chunk, n_osc))
+        for start in range(0, num, chunk):
             t = symbols[start : start + chunk]
+            a = arg[:, : t.shape[0]]
+            c = cosines[: t.shape[0]]
             for f in range(self.num_taps):
-                re = np.cos(t[:, None] * self._freq_i[f] + self._phase_i[f]).sum(axis=1)
-                im = np.cos(t[:, None] * self._freq_q[f] + self._phase_q[f]).sum(axis=1)
+                sums = []
+                for freq, phase in (
+                    (self._freq_i[f], self._phase_i[f]),
+                    (self._freq_q[f], self._phase_q[f]),
+                ):
+                    np.multiply.outer(freq, t, out=a)
+                    a += phase[:, None]
+                    np.cos(a, out=a)
+                    c[...] = a.T
+                    sums.append(c.sum(axis=1))
+                re, im = sums
                 out[start : start + t.shape[0], f] = (
                     self._amplitude[f] * self._gain * (re + 1j * im)
                 )
@@ -208,15 +230,6 @@ class UserConfig:
             raise ConfigurationError("user amplitude must be strictly positive")
 
 
-@dataclass(frozen=True)
-class ReceivedSample:
-    """One M-chip observation window with the ground-truth symbols."""
-
-    r: np.ndarray
-    true_bits: np.ndarray
-    symbol_index: int
-
-
 def synthesize_arrays(
     users: list[UserConfig],
     num_symbols: int,
@@ -239,8 +252,10 @@ def synthesize_arrays(
     is contiguous, and neighbouring rows share their ``Lp - 1`` ISI chips.
     The working set is the stream plus fixed-size buffers: footprints and
     noise are built a fixed number of symbols at a time, so no
-    stream-sized temporary is made.  The result is bit-identical to
-    building every footprint and all the noise at once.
+    stream-sized temporary is made.  Each user's bits are folded into its
+    taps and its amplitude scales the footprints as one scalar.  The
+    result is bit-identical to building every footprint and all the noise
+    at once and scaling each footprint row by its amplitude times bit.
 
     Per-user bits come from generators spawned off ``seed`` with the
     user's code id, so a user's bit/channel realization is independent of
@@ -290,8 +305,9 @@ def synthesize_arrays(
         b = 1 - 2 * bit_rng.integers(0, 2, size=num_symbols).astype(np.int8)
         bits[:, j] = b
         conv_t = build_convolution_matrix(user.code, lp).T
-        taps = user.channel.taps_for(idx)
-        gain = user.amplitude * b.astype(np.float64)
+        # a +-1 bit flips the sign of its symbol's taps, and so of that
+        # footprint row, exactly; folded in here it costs no footprint pass
+        taps = user.channel.taps_for(idx) * b[:, None]
         s0 = 0
         while s0 < num_symbols:
             s1 = min(s0 + block, num_symbols)
@@ -301,7 +317,8 @@ def synthesize_arrays(
                 s1 -= 1
             fp = footprint[: s1 - s0]
             np.matmul(taps[s0:s1], conv_t, out=fp)
-            fp *= gain[s0:s1, None]
+            if user.amplitude != 1.0:
+                fp *= user.amplitude
             head[s0:s1] += fp[:, :n]
             isi[s0:s1] = fp[:, n:]
             s0 = s1
@@ -326,25 +343,3 @@ def synthesize_arrays(
                 part[c0:c1] += chunk
 
     return np.lib.stride_tricks.sliding_window_view(stream[:num_chips], m)[::n], bits
-
-
-def synthesize_stream(
-    users: list[UserConfig],
-    num_symbols: int,
-    sigma: float,
-    seed: int,
-    *,
-    spreading_gain: int | None = None,
-    paths: int | None = None,
-):
-    """Yield ReceivedSample objects; see :func:`synthesize_arrays`."""
-    windows, bits = synthesize_arrays(
-        users,
-        num_symbols,
-        sigma,
-        seed,
-        spreading_gain=spreading_gain,
-        paths=paths,
-    )
-    for i in range(num_symbols):
-        yield ReceivedSample(r=windows[i], true_bits=bits[i], symbol_index=i)

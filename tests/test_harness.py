@@ -167,10 +167,14 @@ class TestRunTrial:
         assert np.array_equal(a.true_bits, b.true_bits)
 
     def test_error_recount_oracle(self):
-        result = run_trial(FAST, 7)
-        for name in FAST.detectors:
-            recount = (result.decisions[name] != result.true_bits).astype(np.uint8)
-            assert np.array_equal(result.errors[name], recount)
+        """Errors derived after the loop equal decisions != truth, as uint8."""
+        for seed in (7, 8):
+            result = run_trial(FAST, seed)
+            for name in FAST.detectors:
+                recount = (result.decisions[name] != result.true_bits).astype(np.uint8)
+                assert result.errors[name].dtype == np.uint8
+                assert np.array_equal(result.errors[name], recount)
+            assert any(result.errors[name].any() for name in FAST.detectors)
 
     def test_trace_shapes_and_rank_range(self):
         result = run_trial(FAST, 3)
@@ -286,6 +290,123 @@ class TestAutoAdapterReusedProjection:
             assert reused.last_rank == two_pass.last_rank, i
             assert np.array_equal(reused.state.S, two_pass.state.S), i
             assert np.array_equal(reused.state.w, two_pass.state.w), i
+
+
+def _two_vdot_lms_update(state, r, b):
+    """``lms_update`` forming ``w^H r`` itself, after the decision formed it."""
+    e = float(b) - np.vdot(state.w, r)
+    state.w = state.w + state.mu * np.conj(e) * r
+    return state
+
+
+def _two_vdot_mber_update(state, r, b):
+    """``mber_full_rank_update`` forming ``w^H r`` itself."""
+    w = state.w
+    xr = np.vdot(w, r).real
+    c = (
+        np.exp(-(xr * xr) / (2.0 * state.rho * state.rho))
+        * float(b)
+        / (2.0 * np.sqrt(2.0 * np.pi) * state.rho)
+    )
+    w_next = w + (state.mu * c) * (r - xr * w)
+    norm_sq = np.vdot(w_next, w_next).real
+    if norm_sq < 1e-12:
+        state.scaling_skipped = True
+        state.w = w_next
+        return state
+    state.w = w_next / np.sqrt(norm_sq)
+    state.scaling_skipped = False
+    return state
+
+
+class TestFullRankAdaptersReuseOutput:
+    @pytest.mark.parametrize(
+        "name, update",
+        [
+            ("full_rank_lms", _two_vdot_lms_update),
+            ("full_rank_mber", _two_vdot_mber_update),
+        ],
+    )
+    @pytest.mark.parametrize("n, k", [(31, 5), (127, 16)])
+    def test_bit_identical_to_two_vdot_step(self, name, update, n, k):
+        """Handing the decision's w^H r to the update changes nothing: w,
+        the scaling flag and the decision agree bit for bit with an update
+        that forms w^H r again, through training and then decision-directed
+        operation (at N=127, K=16 the default LMS step diverges)."""
+        cfg = dataclasses.replace(
+            ExperimentConfig(), N=n, K=k, tr_symbols=120, dd_symbols=120
+        )
+        seed = 2025
+        sigma = noise_sigma(cfg, cfg.snr_db)
+        rho = kernel_radius(cfg, sigma)
+        windows, bits = synthesize_arrays(
+            _build_users(cfg, seed), cfg.num_symbols, sigma, seed
+        )
+        adapter = _ADAPTERS[name](cfg, rho)
+        two_vdot = copy.deepcopy(adapter.state)
+        for i in range(cfg.num_symbols):
+            training = i < cfg.tr_symbols
+            true_bit = int(bits[i, 0])
+            decided = adapter.step(windows[i], true_bit, training)
+            two_vdot_decided = 1 if np.vdot(two_vdot.w, windows[i]).real >= 0.0 else -1
+            update(two_vdot, windows[i], true_bit if training else two_vdot_decided)
+            assert decided == two_vdot_decided, i
+            assert np.array_equal(adapter.state.w, two_vdot.w), i
+            assert adapter.state.scaling_skipped == two_vdot.scaling_skipped, i
+
+
+class TestLmsHealth:
+    FOUND = dataclasses.replace(
+        ExperimentConfig(), N=127, K=16, detectors=("full_rank_lms",)
+    )
+
+    def test_default_step_unstable_at_long_code(self):
+        """N=127, K=16 at the default mu_lms: the per-step bound
+        mu * ||r||^2 < 2 fails, and the counter says where."""
+        result = run_trial(self.FOUND, 1234)
+        health = result.health["full_rank_lms"]
+        sigma = noise_sigma(self.FOUND, self.FOUND.snr_db)
+        windows, _ = synthesize_arrays(
+            _build_users(self.FOUND, 1234), self.FOUND.num_symbols, sigma, 1234
+        )
+        over = [
+            i
+            for i in range(len(windows))
+            if self.FOUND.mu_lms * np.vdot(windows[i], windows[i]).real >= 2.0
+        ]
+        assert health["unstable_steps"] == len(over) > 0
+        assert health["first_unstable_step"] == over[0]
+
+    def test_zero_step_counts_nothing(self):
+        cfg = dataclasses.replace(self.FOUND, mu_lms=0.0)
+        health = run_trial(cfg, 1234).health["full_rank_lms"]
+        assert health == {"unstable_steps": 0, "first_unstable_step": None}
+
+    def test_only_lms_is_counted(self):
+        cfg = dataclasses.replace(FAST, detectors=("full_rank_mber",))
+        assert run_trial(cfg, 1).health == {}
+
+    def test_summed_into_result_and_sidecar(self, tmp_path):
+        cfg = dataclasses.replace(self.FOUND, num_trials=2, dd_symbols=250)
+        mc = run_monte_carlo(cfg)
+        trials = [run_trial(cfg, cfg.base_seed + t).health["full_rank_lms"] for t in range(2)]
+        health = mc.health["full_rank_lms"]
+        assert health["unstable_steps"] == sum(t["unstable_steps"] for t in trials)
+        assert health["unstable_trials"] == sum(t["unstable_steps"] > 0 for t in trials)
+        assert health["first_unstable_step"] == min(
+            t["first_unstable_step"] for t in trials
+        )
+        emit_csv(mc, tmp_path / "out.csv")
+        meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+        assert meta["health"] == mc.health
+
+        swept = sweep(
+            dataclasses.replace(cfg, num_trials=1, snr_db=(15.0,)), axis="snr"
+        )
+        assert set(swept.health) == {"15"}
+        emit_csv(swept, tmp_path / "sweep.csv")
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert meta["health"] == swept.health
 
 
 class TestRunMonteCarlo:

@@ -18,7 +18,6 @@ from mberlink.signal_model import (
     build_convolution_matrix,
     generate_gold_family,
     synthesize_arrays,
-    synthesize_stream,
 )
 
 
@@ -167,6 +166,39 @@ class TestJakesChannel:
         with pytest.raises(ConfigurationError):
             JakesChannel([0.0], -1e-4, seed=0)
 
+    @pytest.mark.parametrize("num_oscillators", [1, 7, 8, 9, 16, 17])
+    @pytest.mark.parametrize("num_symbols", [1, 255, 256, 1750])
+    def test_matches_symbol_major_reference(self, num_symbols, num_oscillators):
+        """Oscillator-major taps equal the symbol-major ones bit for bit.
+
+        The oscillator counts straddle 8, where numpy's pairwise sum of a
+        row switches from a plain loop to eight partial sums."""
+        ch = JakesChannel(
+            [0.0, -7.0, -10.0], 5e-5, seed=num_symbols, num_oscillators=num_oscillators
+        )
+        symbols = np.arange(num_symbols)
+        assert np.array_equal(ch.taps_for(symbols), _reference_taps_for(ch, symbols))
+
+    def test_no_symbols(self):
+        assert JakesChannel([0.0, -3.0], 1e-4, seed=1).taps_for(np.arange(0)).shape == (0, 2)
+
+
+def _reference_taps_for(channel, symbols):
+    """The symbol-major tap synthesis that oscillator-major taps must reproduce."""
+    self = channel
+    symbols = np.asarray(symbols, dtype=np.float64)
+    out = np.empty((symbols.shape[0], self.num_taps), dtype=np.complex128)
+    chunk = 1 << 15
+    for start in range(0, symbols.shape[0], chunk):
+        t = symbols[start : start + chunk]
+        for f in range(self.num_taps):
+            re = np.cos(t[:, None] * self._freq_i[f] + self._phase_i[f]).sum(axis=1)
+            im = np.cos(t[:, None] * self._freq_q[f] + self._phase_q[f]).sum(axis=1)
+            out[start : start + t.shape[0], f] = (
+                self._amplitude[f] * self._gain * (re + 1j * im)
+            )
+    return out
+
 
 class TestSynthesize:
     def test_single_user_noiseless_exact(self):
@@ -237,17 +269,6 @@ class TestSynthesize:
         assert np.array_equal(w1, w2)
         assert np.array_equal(b1, b2)
 
-    def test_stream_yields_samples_matching_arrays(self):
-        family = generate_gold_family(5)
-        user = UserConfig(1.0, family[2], StaticChannel([1.0, 0.2j]))
-        windows, bits = synthesize_arrays([user], 10, sigma=0.3, seed=8)
-        samples = list(synthesize_stream([user], 10, sigma=0.3, seed=8))
-        assert len(samples) == 10
-        for i, sample in enumerate(samples):
-            assert sample.symbol_index == i
-            assert np.array_equal(sample.r, windows[i])
-            assert np.array_equal(sample.true_bits, bits[i])
-
     def test_dimension_mismatch_rejected(self):
         family = generate_gold_family(5)
         users = [
@@ -269,7 +290,10 @@ class TestSynthesize:
 
 
 def _reference_synthesize_arrays(users, num_symbols, sigma, seed, *, spreading_gain=None, paths=None):
-    """The whole-stream synthesis that block synthesis must reproduce bit for bit."""
+    """The whole-stream synthesis that block synthesis must reproduce bit for bit.
+
+    It scales each footprint row by amplitude times bit, where block
+    synthesis folds the bits into the taps and scales by the amplitude."""
     if users:
         n = users[0].code.length
         lp = users[0].channel.num_taps
@@ -326,9 +350,12 @@ def jakes_users(degree, k, profile=(0.0, -7.0, -10.0), amplitudes=None, seed=123
 
 SIGMA_15DB = 10.0 ** (-15.0 / 20.0)
 
+# N31_K5 and N127_K16 have every amplitude at 1.0, where no scaling is done
 BLOCK_SYNTHESIS_CASES = {
     "N31_K5": lambda: (jakes_users(5, 5), 1750, SIGMA_15DB, {}),
     "N127_K16": lambda: (jakes_users(7, 16), 1750, SIGMA_15DB, {}),
+    "amplitude_0.5": lambda: (jakes_users(5, 5, amplitudes=(0.5,) * 5), 1750, SIGMA_15DB, {}),
+    "amplitude_2.3": lambda: (jakes_users(5, 5, amplitudes=(2.3,) * 5), 1750, SIGMA_15DB, {}),
     "unequal_amplitudes": lambda: (
         jakes_users(5, 5, amplitudes=(1.0, 0.5, 2.0, 1.3, 0.7)),
         1750,
