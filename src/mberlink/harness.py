@@ -424,7 +424,9 @@ def _lms_health(windows: np.ndarray, mu: float) -> dict:
     from ``mu * ||r||^2 >= 2`` on it grows instead: enough such symbols
     make the filter diverge while every output stays finite.
     """
-    unstable = np.flatnonzero(mu * np.vecdot(windows, windows).real >= 2.0)
+    # each complex row read as 2M floats: ||r||^2 in one pass, no temporary
+    flat = windows.view(np.float64)
+    unstable = np.flatnonzero(mu * np.einsum("ij,ij->i", flat, flat) >= 2.0)
     return {
         "unstable_steps": int(unstable.size),
         "first_unstable_step": int(unstable[0]) if unstable.size else None,

@@ -165,37 +165,15 @@ class JakesChannel:
         self._amplitude = np.sqrt(10.0 ** (rel_db / 10.0))
 
     def taps_for(self, symbols: np.ndarray) -> np.ndarray:
-        """Tap values for the given symbol indices, shape (len, num_taps).
-
-        Each cosine argument is built oscillator-major, ``(osc, len)``, so
-        the elementwise loops run over the symbols.  The cosines are then
-        copied symbol-major before ``sum(axis=1)``: numpy adds each
-        symbol's oscillators in its pairwise order, and that order fixes
-        the last bit of every tap.
-        """
+        """Tap values for the given symbol indices, shape (len, num_taps)."""
         symbols = np.asarray(symbols, dtype=np.float64)
-        num = symbols.shape[0]
-        out = np.empty((num, self.num_taps), dtype=np.complex128)
-        chunk = max(1, min(num, 1 << 15))
-        n_osc = self._freq_i.shape[1]
-        arg = np.empty((n_osc, chunk))
-        cosines = np.empty((chunk, n_osc))
-        for start in range(0, num, chunk):
+        out = np.empty((symbols.shape[0], self.num_taps), dtype=np.complex128)
+        chunk = 1 << 15
+        for start in range(0, symbols.shape[0], chunk):
             t = symbols[start : start + chunk]
-            a = arg[:, : t.shape[0]]
-            c = cosines[: t.shape[0]]
             for f in range(self.num_taps):
-                sums = []
-                for freq, phase in (
-                    (self._freq_i[f], self._phase_i[f]),
-                    (self._freq_q[f], self._phase_q[f]),
-                ):
-                    np.multiply.outer(freq, t, out=a)
-                    a += phase[:, None]
-                    np.cos(a, out=a)
-                    c[...] = a.T
-                    sums.append(c.sum(axis=1))
-                re, im = sums
+                re = np.cos(t[:, None] * self._freq_i[f] + self._phase_i[f]).sum(axis=1)
+                im = np.cos(t[:, None] * self._freq_q[f] + self._phase_q[f]).sum(axis=1)
                 out[start : start + t.shape[0], f] = (
                     self._amplitude[f] * self._gain * (re + 1j * im)
                 )

@@ -166,39 +166,6 @@ class TestJakesChannel:
         with pytest.raises(ConfigurationError):
             JakesChannel([0.0], -1e-4, seed=0)
 
-    @pytest.mark.parametrize("num_oscillators", [1, 7, 8, 9, 16, 17])
-    @pytest.mark.parametrize("num_symbols", [1, 255, 256, 1750])
-    def test_matches_symbol_major_reference(self, num_symbols, num_oscillators):
-        """Oscillator-major taps equal the symbol-major ones bit for bit.
-
-        The oscillator counts straddle 8, where numpy's pairwise sum of a
-        row switches from a plain loop to eight partial sums."""
-        ch = JakesChannel(
-            [0.0, -7.0, -10.0], 5e-5, seed=num_symbols, num_oscillators=num_oscillators
-        )
-        symbols = np.arange(num_symbols)
-        assert np.array_equal(ch.taps_for(symbols), _reference_taps_for(ch, symbols))
-
-    def test_no_symbols(self):
-        assert JakesChannel([0.0, -3.0], 1e-4, seed=1).taps_for(np.arange(0)).shape == (0, 2)
-
-
-def _reference_taps_for(channel, symbols):
-    """The symbol-major tap synthesis that oscillator-major taps must reproduce."""
-    self = channel
-    symbols = np.asarray(symbols, dtype=np.float64)
-    out = np.empty((symbols.shape[0], self.num_taps), dtype=np.complex128)
-    chunk = 1 << 15
-    for start in range(0, symbols.shape[0], chunk):
-        t = symbols[start : start + chunk]
-        for f in range(self.num_taps):
-            re = np.cos(t[:, None] * self._freq_i[f] + self._phase_i[f]).sum(axis=1)
-            im = np.cos(t[:, None] * self._freq_q[f] + self._phase_q[f]).sum(axis=1)
-            out[start : start + t.shape[0], f] = (
-                self._amplitude[f] * self._gain * (re + 1j * im)
-            )
-    return out
-
 
 class TestSynthesize:
     def test_single_user_noiseless_exact(self):
