@@ -10,8 +10,6 @@ from .detector_core import (
     filter_and_decide,
     gradient_S,
     gradient_w,
-    kernel_density,
-    project,
     q_function,
 )
 from .errors import ConfigParseError, ConfigurationError, NumericalError
@@ -29,7 +27,6 @@ from .jio_mber import (
     JioState,
     Mode,
     RankSelectionConfig,
-    candidate_error,
     init_state,
     jio_step,
     scale_filter,
@@ -40,7 +37,6 @@ from .jio_mber import (
 from .signal_model import (
     JakesChannel,
     SpreadingCode,
-    StaticChannel,
     UserConfig,
     build_convolution_matrix,
     generate_gold_family,
@@ -63,11 +59,9 @@ __all__ = [
     "OpCountReport",
     "RankSelectionConfig",
     "SpreadingCode",
-    "StaticChannel",
     "SweepResult",
     "UserConfig",
     "build_convolution_matrix",
-    "candidate_error",
     "complexity_sweep",
     "decision_statistic",
     "emit_csv",
@@ -79,12 +73,10 @@ __all__ = [
     "init_full_rank",
     "init_state",
     "jio_step",
-    "kernel_density",
     "lms_update",
     "mber_full_rank_update",
     "op_count",
     "parse_config",
-    "project",
     "q_function",
     "run_monte_carlo",
     "run_trial",

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detector_core import _NORM_EPS, _SQRT_2PI
+from .detector_core import _NORM_EPS, _mber_factor
 from .errors import ConfigurationError
 
 
@@ -58,11 +58,7 @@ def mber_full_rank_update(
     if wr is None:
         wr = np.vdot(w, r)
     xr = wr.real
-    c = (
-        np.exp(-(xr * xr) / (2.0 * state.rho * state.rho))
-        * float(b)
-        / (2.0 * _SQRT_2PI * state.rho)
-    )
+    c = _mber_factor(xr, b, state.rho)
     w_next = w + (state.mu * c) * (r - xr * w)
     norm_sq = np.vdot(w_next, w_next).real
     if norm_sq < _NORM_EPS:

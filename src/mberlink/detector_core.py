@@ -13,8 +13,8 @@ returned arrays are df/d(conj(z)), so the real/imaginary partials are
 
 Only numpy is imported with this module.  :func:`q_function` loads
 ``scipy.special.erfc`` on its first call, so scipy is paid for only by
-the Q-function and its callers (:func:`error_probability`,
-``candidate_error``/``select_rank`` and rank averaging in the harness).
+the Q-function, :func:`error_probability` and rank averaging in the
+harness.
 """
 
 import math
@@ -56,16 +56,6 @@ def _decide(x_real: float) -> int:
     return 1 if x_real >= 0.0 else -1
 
 
-def project(projection: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Reduced-dimension observation S^H r."""
-    if projection.shape[0] != r.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: projection has {projection.shape[0]} rows, "
-            f"received vector has length {r.shape[0]}"
-        )
-    return projection.conj().T @ r
-
-
 def filter_and_decide(w: np.ndarray, rbar: np.ndarray) -> tuple[DecisionStatistic, int]:
     """Filter output w^H rbar and the hard decision sign(Re), +1 on ties.
 
@@ -87,19 +77,6 @@ def q_function(x):
     return 0.5 * erfc(x / _SQRT2)
 
 
-def kernel_density(x_tilde: float, center: float, norm_sq: float, rho: float) -> float:
-    """Gaussian kernel density with mean ``center``, variance rho^2*norm_sq."""
-    if not norm_sq > 0:
-        raise ValueError(f"norm_sq must be positive, got {norm_sq}")
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    d = x_tilde - center
-    return float(
-        np.exp(-(d * d) / (2.0 * norm_sq * rho * rho))
-        / (rho * np.sqrt(2.0 * np.pi * norm_sq))
-    )
-
-
 def error_probability(stat: DecisionStatistic, norm_sq: float, rho: float) -> float:
     """Kernel-smoothed bit error probability Q(sign{b}Re[x] / (rho sqrt(norm_sq)))."""
     if not norm_sq > 0:
@@ -107,6 +84,18 @@ def error_probability(stat: DecisionStatistic, norm_sq: float, rho: float) -> fl
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     return float(q_function(stat.signed_real / (rho * np.sqrt(norm_sq))))
+
+
+def _mber_factor(xr, b, rho, n=1.0):
+    """Scalar MBER update factor ``exp(-xr^2 / (2 rho^2 n)) b / (2 sqrt(2 pi) rho)``.
+
+    ``n = w^H S^H S w`` is 1 on a unit-norm state.  The factor is the
+    negated derivative of the error estimate with respect to ``Re[x]``,
+    times ``sqrt(n) / 2``; every MBER update and gradient scales by it.
+    """
+    return (
+        np.exp(-(xr * xr) / (2.0 * rho * rho * n)) * float(b) / (2.0 * _SQRT_2PI * rho)
+    )
 
 
 def _common_terms(projection: np.ndarray, w: np.ndarray, r: np.ndarray):
@@ -138,10 +127,9 @@ def gradient_w(
         raise ValueError(f"rho must be positive, got {rho}")
     z, sw, n, xr = _common_terms(projection, w, r)
     shsw = projection.conj().T @ sw
-    coeff = (
-        -np.exp(-(xr * xr) / (2.0 * rho * rho * n)) * sign_b / (2.0 * _SQRT_2PI * rho)
+    return -_mber_factor(xr, sign_b, rho, n) * (
+        z / np.sqrt(n) - (xr / n**1.5) * shsw
     )
-    return coeff * (z / np.sqrt(n) - (xr / n**1.5) * shsw)
 
 
 def gradient_S(
@@ -156,8 +144,7 @@ def gradient_S(
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     _, sw, n, xr = _common_terms(projection, w, r)
-    coeff = (
-        -np.exp(-(xr * xr) / (2.0 * rho * rho * n)) * sign_b / (2.0 * _SQRT_2PI * rho)
-    )
     wc = w.conj()
-    return coeff * (np.outer(r, wc) / np.sqrt(n) - (xr / n**1.5) * np.outer(sw, wc))
+    return -_mber_factor(xr, sign_b, rho, n) * (
+        np.outer(r, wc) / np.sqrt(n) - (xr / n**1.5) * np.outer(sw, wc)
+    )

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._version import __version__
 from .baselines import init_full_rank, lms_update, mber_full_rank_update
-from .detector_core import _NORM_EPS, _decide, q_function
+from .detector_core import _decide, q_function
 from .errors import ConfigParseError, ConfigurationError, NumericalError
 from .jio_mber import (
     Mode,
@@ -283,14 +283,9 @@ class _JioFixedAdapter:
 
 
 class _JioAutoAdapter:
-    """Adapts at D_max; detects at the per-symbol error-minimizing rank.
-
-    The selection metric needs a bit reference.  Training uses the true
-    bit.  Decision-directed operation references the D_max state's own
-    decision; scoring every candidate against its own sign (pure
-    confidence) proved unstable, as it lets an interference-dominated
-    truncation hijack the decision feedback.
-    """
+    """Adapts at D_max; detects at the per-symbol rank chosen by the rule
+    of :func:`~mberlink.jio_mber.select_rank`, referenced to the true bit
+    in training and to the D_max state's own decision afterwards."""
 
     def __init__(self, cfg: ExperimentConfig, rho: float):
         self.state = init_state(cfg.M, cfg.D_max, cfg.mu_w, cfg.mu_S, cfg.J, rho)
@@ -302,16 +297,9 @@ class _JioAutoAdapter:
 
     def step(self, r, true_bit, training):
         state = self.state
-        lo = self.ranks.d_min - 1
-        x, n, z = _truncated_statistics(state, r)
-        xr = x.real[lo : self.ranks.d_max]
-        nn = n[lo : self.ranks.d_max]
-        valid = nn >= _NORM_EPS
-        if training:
-            reference = true_bit
-        else:
-            reference = 1 if x.real[state.w.shape[0] - 1] >= 0.0 else -1
-        stat = np.where(valid, reference * xr / np.sqrt(np.where(valid, nn, 1.0)), 0.0)
+        stat, xr, z = _truncated_statistics(
+            state, self.ranks, r, true_bit if training else None
+        )
         if self.ranks.averaging_factor > 0.0:
             # extension: exponentially averaged error-probability metric
             p = q_function(stat / state.rho)
@@ -320,9 +308,7 @@ class _JioAutoAdapter:
             pick = int(np.argmin(self._avg))
         else:
             pick = int(np.argmax(stat))
-        d_opt = self.ranks.d_min + pick
-        state.active_rank = d_opt
-        self.last_rank = d_opt
+        self.last_rank = self.ranks.d_min + pick
         decided = _decide(xr[pick])
         _adapt(state, r, true_bit if training else decided, z)
         return decided

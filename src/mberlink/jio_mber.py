@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detector_core import _NORM_EPS, _SQRT_2PI, _decide, q_function
+from .detector_core import _NORM_EPS, _decide, _mber_factor
 from .errors import ConfigurationError, NumericalError
 
 
@@ -46,12 +46,7 @@ class JioState:
     J: int
     rho: float
     mode: Mode = Mode.TRAINING
-    active_rank: int = 0
     scaling_skipped: bool = field(default=False, repr=False)
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.S.shape
 
 
 @dataclass(frozen=True)
@@ -98,7 +93,6 @@ def init_state(
         J=int(J),
         rho=float(rho),
         mode=Mode.TRAINING,
-        active_rank=D,
     )
 
 
@@ -114,7 +108,7 @@ def _cycle(S, w, r, b, rho, mu_w, mu_S, z=None):
         z = SH @ r
     xr = np.vdot(w, z).real
     sw = S @ w
-    c = np.exp(-(xr * xr) / (2.0 * rho * rho)) * float(b) / (2.0 * _SQRT_2PI * rho)
+    c = _mber_factor(xr, b, rho)
     wc = w.conj()
     S_next = S + (mu_S * c) * (r[:, None] * wc - xr * (sw[:, None] * wc))
     w_next = w + (mu_w * c) * (z - xr * (SH @ sw))
@@ -191,54 +185,32 @@ def jio_step(
     return state, decided
 
 
-def truncated_statistics(
-    state: JioState, r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Filter outputs and squared norms for every leading-column truncation.
+def _truncated_statistics(
+    state: JioState, cfg: RankSelectionConfig, r: np.ndarray, b: int | None = None
+):
+    """Rank-selection statistics of the truncations ``d_min .. d_max``.
 
-    Entry ``d`` (0-based) corresponds to keeping the first ``d+1`` filter
-    taps and projection columns: ``x[d] = w_d^H S_d^H r`` and
-    ``n[d] = ||S_d w_d||^2``, computed without renormalization.
+    Keeping the first ``d`` filter taps and projection columns gives
+    ``x_d = w_d^H S_d^H r`` and ``n_d = ||S_d w_d||^2`` (prefix sums, no
+    renormalization).  Returns ``(stat, xr, z)``: entry ``i`` of ``stat``
+    is ``b Re[x_d] / sqrt(n_d)`` for ``d = d_min + i``, or 0 where ``n_d``
+    vanishes; ``xr`` holds the same ``Re[x_d]``; ``z = S^H r``.  ``b=None``
+    takes the full state's own decision as the reference bit.
     """
-    x, n, _ = _truncated_statistics(state, r)
-    return x, n
-
-
-def _truncated_statistics(state: JioState, r: np.ndarray):
-    """:func:`truncated_statistics` plus the ``z = S^H r`` it was built on."""
+    D = state.w.shape[0]
+    if cfg.d_max > D:
+        raise ConfigurationError(f"d_max={cfg.d_max} exceeds the adapted rank {D}")
     z = state.S.conj().T @ r
     x = np.cumsum(state.w.conj() * z)
     sw = np.cumsum(state.S * state.w[None, :], axis=1)
     n = (sw.real**2 + sw.imag**2).sum(axis=0)
-    return x, n, z
-
-
-def candidate_error(
-    state: JioState,
-    D: int,
-    r: np.ndarray,
-    b: int | None,
-    rho: float | None = None,
-) -> float:
-    """Error-probability estimate of the rank-D truncation of the state.
-
-    The leading D filter entries and projection columns are rescaled to
-    satisfy the unit-norm constraint before evaluating.  ``b`` is the
-    training bit; ``None`` uses the truncated detector's own decision.
-    A truncation with vanishing norm is uninformative and scores 0.5.
-    """
-    rho = state.rho if rho is None else rho
-    if not 1 <= D <= state.w.shape[0]:
-        raise ConfigurationError(f"rank {D} outside [1, {state.w.shape[0]}]")
-    w_d = state.w[:D]
-    s_d = state.S[:, :D]
-    sw = s_d @ w_d
-    norm_sq = np.vdot(sw, sw).real
-    if norm_sq < _NORM_EPS:
-        return 0.5
-    xr = np.vdot(w_d, s_d.conj().T @ r).real / np.sqrt(norm_sq)
-    signed = abs(xr) if b is None else float(b) * xr
-    return float(q_function(signed / rho))
+    xr = x.real[cfg.d_min - 1 : cfg.d_max]
+    nn = n[cfg.d_min - 1 : cfg.d_max]
+    valid = nn >= _NORM_EPS
+    if b is None:
+        b = 1 if x.real[D - 1] >= 0.0 else -1
+    stat = np.where(valid, b * xr / np.sqrt(np.where(valid, nn, 1.0)), 0.0)
+    return stat, xr, z
 
 
 def select_rank(
@@ -249,17 +221,13 @@ def select_rank(
 ) -> int:
     """Rank in [d_min, d_max] minimizing the truncated error estimate.
 
-    Ties break toward the smallest rank.
+    Each truncation is rescaled to unit norm and scored by
+    ``Q(b Re[x_d] / rho)``; one with vanishing norm is uninformative and
+    scores 0.5.  ``b`` is the training bit.  ``None`` references the full
+    state's own decision: scoring every candidate against its own sign
+    (pure confidence) proved unstable in decision-directed operation, as
+    it lets an interference-dominated truncation hijack the decision
+    feedback.  Ties break toward the smallest rank.
     """
-    if cfg.d_max > state.w.shape[0]:
-        raise ConfigurationError(
-            f"d_max={cfg.d_max} exceeds the adapted rank {state.w.shape[0]}"
-        )
-    best_d = cfg.d_min
-    best_p = candidate_error(state, cfg.d_min, r, b)
-    for d in range(cfg.d_min + 1, cfg.d_max + 1):
-        p = candidate_error(state, d, r, b)
-        if p < best_p:
-            best_p = p
-            best_d = d
-    return best_d
+    stat, _, _ = _truncated_statistics(state, cfg, r, b)
+    return cfg.d_min + int(np.argmax(stat))

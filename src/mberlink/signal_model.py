@@ -180,28 +180,16 @@ class JakesChannel:
         return out
 
 
-class StaticChannel:
-    """Time-invariant channel with fixed complex taps (toy scenarios)."""
-
-    def __init__(self, taps):
-        taps = np.atleast_1d(np.asarray(taps, dtype=np.complex128))
-        if taps.shape[0] < 1:
-            raise ConfigurationError("need at least one tap")
-        self._taps = taps
-        self.num_taps = taps.shape[0]
-
-    def taps_for(self, symbols: np.ndarray) -> np.ndarray:
-        symbols = np.asarray(symbols)
-        return np.tile(self._taps, (symbols.shape[0], 1))
-
-
 @dataclass
 class UserConfig:
-    """One transmitter: amplitude, spreading code and fading channel."""
+    """One transmitter: amplitude, spreading code and fading channel.
+
+    ``channel`` may be any object with ``num_taps`` and ``taps_for``.
+    """
 
     amplitude: float
     code: SpreadingCode
-    channel: JakesChannel | StaticChannel
+    channel: JakesChannel
 
     def __post_init__(self):
         if not self.amplitude > 0:

@@ -11,7 +11,8 @@ from mberlink.baselines import (
 )
 from mberlink.detector_core import decision_statistic, error_probability
 from mberlink.jio_mber import JioState, scale_filter, update_filter
-from mberlink.signal_model import SpreadingCode, StaticChannel, UserConfig, synthesize_arrays
+from mberlink.signal_model import SpreadingCode, UserConfig, synthesize_arrays
+from static_channel import StaticChannel
 
 
 def toy_stream(num_symbols, sigma, seed):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from mberlink.detector_core import (
     decision_statistic,
@@ -12,8 +11,6 @@ from mberlink.detector_core import (
     filter_and_decide,
     gradient_S,
     gradient_w,
-    kernel_density,
-    project,
     q_function,
 )
 from mberlink.errors import NumericalError
@@ -53,32 +50,6 @@ def pipeline_error(S, w, r, b, rho):
     x = complex(np.vdot(w, S.conj().T @ r))
     sw = S @ w
     return error_probability(decision_statistic(x, b), np.vdot(sw, sw).real, rho)
-
-
-class TestProject:
-    def test_identity_block_selects_leading_entries(self):
-        r = np.arange(6, dtype=complex) + 1j
-        S = np.zeros((6, 3), dtype=complex)
-        S[:3, :3] = np.eye(3)
-        assert np.array_equal(project(S, r), r[:3])
-
-    def test_full_identity_is_noop(self):
-        r = np.arange(4, dtype=complex) - 2j
-        assert np.array_equal(project(np.eye(4, dtype=complex), r), r)
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(1)
-        S = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        r = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        expected = np.zeros(3, dtype=complex)
-        for d in range(3):
-            for m in range(6):
-                expected[d] += np.conj(S[m, d]) * r[m]
-        np.testing.assert_allclose(project(S, r), expected, rtol=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            project(np.eye(3, dtype=complex), np.zeros(4, dtype=complex))
 
 
 class TestFilterAndDecide:
@@ -121,34 +92,6 @@ class TestQFunction:
     def test_symmetry_on_grid(self):
         x = np.arange(-32, 33) * 0.25
         np.testing.assert_allclose(q_function(x) + q_function(-x), 1.0, atol=1e-12)
-
-
-class TestKernelDensity:
-    def test_peak_value(self):
-        assert kernel_density(0.3, 0.3, 1.0, 1.0) == pytest.approx(
-            1.0 / np.sqrt(2 * np.pi), abs=1e-14
-        )
-
-    def test_integrates_to_one(self):
-        center, norm_sq, rho = 0.4, 2.3, 0.7
-        width = rho * np.sqrt(norm_sq)
-        total, _ = quad(
-            lambda t: kernel_density(t, center, norm_sq, rho),
-            center - 12 * width,
-            center + 12 * width,
-        )
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_even_about_center(self):
-        assert kernel_density(1.0 + 0.3, 1.0, 0.8, 1.3) == pytest.approx(
-            kernel_density(1.0 - 0.3, 1.0, 0.8, 1.3), abs=1e-15
-        )
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            kernel_density(0.0, 0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            kernel_density(0.0, 0.0, 1.0, -1.0)
 
 
 class TestErrorProbability:
@@ -224,6 +167,30 @@ class TestGradients:
             np.testing.assert_array_equal(
                 gradient_S(S, w, r, b, rho), gradient_S(S, w, -r, -b, rho)
             )
+
+    def test_bit_identical_to_literal_coefficient_arithmetic(self):
+        """Both gradients equal, bit for bit, the scalar factor and matrix
+        parts written out in full, on states whose norm is not 1."""
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            S, w, r, b, rho = random_instance(rng, bounded=False)
+            z = S.conj().T @ r
+            sw = S @ w
+            n = np.vdot(sw, sw).real
+            assert n != 1.0
+            xr = np.vdot(w, z).real
+            coeff = (
+                -np.exp(-(xr * xr) / (2.0 * rho * rho * n))
+                * float(b)
+                / (2.0 * np.sqrt(2.0 * np.pi) * rho)
+            )
+            wc = w.conj()
+            expected_w = coeff * (z / np.sqrt(n) - (xr / n**1.5) * (S.conj().T @ sw))
+            expected_S = coeff * (
+                np.outer(r, wc) / np.sqrt(n) - (xr / n**1.5) * np.outer(sw, wc)
+            )
+            assert np.array_equal(gradient_w(S, w, r, b, rho), expected_w)
+            assert np.array_equal(gradient_S(S, w, r, b, rho), expected_S)
 
     def test_zero_filter_rejected(self):
         S = np.eye(4, dtype=complex)

@@ -26,7 +26,7 @@ from mberlink.harness import (
     write_config,
 )
 from mberlink.harness import _build_users
-from mberlink.jio_mber import _adapt, truncated_statistics
+from mberlink.jio_mber import _adapt
 from mberlink.signal_model import synthesize_arrays
 
 # small, fast configuration for plumbing tests
@@ -235,10 +235,13 @@ class TestRunTrial:
 
 def _two_pass_auto_step(adapter, r, true_bit, training):
     """The auto adapter's step with ``S^H r`` computed twice: once for the
-    truncated statistics and again in the first adaptation cycle."""
+    truncated (prefix-sum) statistics and again in the first adaptation
+    cycle."""
     state, ranks = adapter.state, adapter.ranks
     lo = ranks.d_min - 1
-    x, n = truncated_statistics(state, r)
+    x = np.cumsum(state.w.conj() * (state.S.conj().T @ r))
+    sw = np.cumsum(state.S * state.w[None, :], axis=1)
+    n = (sw.real**2 + sw.imag**2).sum(axis=0)
     xr = x.real[lo : ranks.d_max]
     nn = n[lo : ranks.d_max]
     valid = nn >= 1e-12

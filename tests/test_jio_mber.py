@@ -2,8 +2,11 @@
 
 import copy
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mberlink.detector_core import (
     decision_statistic,
@@ -11,18 +14,18 @@ from mberlink.detector_core import (
     filter_and_decide,
     gradient_S,
     gradient_w,
+    q_function,
 )
 from mberlink.errors import ConfigurationError, NumericalError
 from mberlink.jio_mber import (
     JioState,
     Mode,
     RankSelectionConfig,
-    candidate_error,
+    _truncated_statistics,
     init_state,
     jio_step,
     scale_filter,
     select_rank,
-    truncated_statistics,
     update_filter,
     update_projection,
 )
@@ -55,7 +58,6 @@ class TestInitState:
         assert np.array_equal(state.S, expected)
         assert np.array_equal(state.w, np.zeros(2, dtype=complex))
         assert state.mode is Mode.TRAINING
-        assert state.active_rank == 2
 
     def test_full_rank_gives_identity(self):
         state = init_state(4, 4, 0.1, 0.1, 1, 1.0)
@@ -235,54 +237,79 @@ class TestJioStep:
             assert after <= before + 1e-15
 
 
+def candidate_errors(state, r, b, d_min=1, d_max=None):
+    """Error estimate Q(stat / rho) of each truncation d_min..d_max."""
+    cfg = RankSelectionConfig(d_min, d_max or state.w.shape[0])
+    stat, _, _ = _truncated_statistics(state, cfg, r, b)
+    return q_function(stat / state.rho)
+
+
+def truncate_rescale_errors(state, r, b, d_min, d_max):
+    """Oracle: truncate to the leading d taps and columns, rescale to unit
+    norm, then Q of the bit-aligned output; a vanishing norm scores 0.5.
+    ``b=None`` aligns every candidate with the full state's decision.  Q is
+    evaluated with enough digits to resolve ``1 - Q(u) ~ exp(-u^2 / 2)``:
+    in double precision it rounds to exactly 1.0 below about -8.3, which
+    would tie candidates whose outputs differ."""
+    if b is None:
+        b = 1 if np.vdot(state.w, state.S.conj().T @ r).real >= 0.0 else -1
+    errors = []
+    for d in range(d_min, d_max + 1):
+        w_t = state.w[:d]
+        s_t = state.S[:, :d]
+        sw = s_t @ w_t
+        n = np.vdot(sw, sw).real
+        if n < 1e-12:
+            errors.append(0.5)
+            continue
+        x = np.vdot(w_t / np.sqrt(n), s_t.conj().T @ r).real
+        u = b * x / state.rho
+        with mpmath.workdps(30 + int(u * u / 4)):
+            errors.append(mpmath.erfc(mpmath.mpf(u) / mpmath.sqrt(2)) / 2)
+    return errors
+
+
 class TestCandidateError:
+    """The error estimate of each candidate truncation, as rank selection
+    scores it from the prefix statistics."""
+
     def test_full_rank_candidate_matches_error_probability(self):
         rng = np.random.default_rng(15)
         state = random_state(rng, m=8, d=5)
         r, b = random_sample(rng, 8)
         full = state_error(state, r, b)
-        assert candidate_error(state, 5, r, b) == pytest.approx(full, rel=1e-12)
+        assert candidate_errors(state, r, b)[-1] == pytest.approx(full, rel=1e-12)
 
     def test_matches_truncate_rescale_oracle(self):
         rng = np.random.default_rng(16)
         for _ in range(30):
-            state = random_state(rng, m=9, d=6)
+            state = random_state(rng, m=9, d=6, normalized=bool(rng.integers(2)))
             r, b = random_sample(rng, 9)
-            d = int(rng.integers(1, 7))
-            # independent step-by-step recomputation
-            w_t = state.w[:d]
-            s_t = state.S[:, :d]
-            sw = s_t @ w_t
-            n = np.vdot(sw, sw).real
-            if n < 1e-12:
-                expected = 0.5
-            else:
-                w_scaled = w_t / np.sqrt(n)
-                x = np.vdot(w_scaled, s_t.conj().T @ r).real
-                expected = state_error_from(x, b, state.rho)
-            assert candidate_error(state, d, r, b) == pytest.approx(expected, rel=1e-12)
+            expected = [float(e) for e in truncate_rescale_errors(state, r, b, 1, 6)]
+            np.testing.assert_allclose(
+                candidate_errors(state, r, b), expected, rtol=1e-12
+            )
 
     def test_zero_statistic_gives_half(self):
         rng = np.random.default_rng(17)
         state = random_state(rng)
-        assert candidate_error(state, 2, np.zeros(6, dtype=complex), 1) == 0.5
+        errors = candidate_errors(state, np.zeros(6, dtype=complex), 1)
+        assert np.array_equal(errors, np.full(3, 0.5))
 
     def test_zero_norm_truncation_scores_half(self):
         state = init_state(6, 3, 0.1, 0.1, 1, 1.0)
         state.w = np.array([0.0, 0.0, 1.0], dtype=complex)
         r = np.ones(6, dtype=complex)
-        assert candidate_error(state, 1, r, 1) == 0.5
+        errors = candidate_errors(state, r, 1)
+        assert errors[0] == 0.5 and errors[1] == 0.5
+        assert errors[2] < 0.5
 
     def test_rejects_out_of_range_rank(self):
         state = init_state(6, 3, 0.1, 0.1, 1, 1.0)
         with pytest.raises(ConfigurationError):
-            candidate_error(state, 4, np.ones(6, dtype=complex), 1)
-
-
-def state_error_from(x_real, b, rho):
-    from mberlink.detector_core import q_function
-
-    return float(q_function(b * x_real / rho))
+            _truncated_statistics(
+                state, RankSelectionConfig(1, 4), np.ones(6, dtype=complex), 1
+            )
 
 
 class TestSelectRank:
@@ -292,15 +319,29 @@ class TestSelectRank:
         r, b = random_sample(rng, 10)
         assert select_rank(state, RankSelectionConfig(7, 7), r, b) == 7
 
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(19)
-        for _ in range(40):
-            state = random_state(rng, m=12, d=9)
-            r, b = random_sample(rng, 12)
-            cfg = RankSelectionConfig(2, 8)
-            probs = [candidate_error(state, d, r, b) for d in range(2, 9)]
-            expected = 2 + int(np.argmin(probs))
-            assert select_rank(state, cfg, r, b) == expected
+    @settings(deadline=None, max_examples=200)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        m=st.integers(min_value=1, max_value=12),
+        data=st.data(),
+    )
+    def test_matches_brute_force(self, seed, m, data):
+        """select_rank is the argmin (first on ties) of the truncate-rescale
+        oracle, for a known bit and for b=None, over random states, leading
+        all-zero taps and rank ranges."""
+        d = data.draw(st.integers(min_value=1, max_value=m))
+        d_max = data.draw(st.integers(min_value=1, max_value=d))
+        d_min = data.draw(st.integers(min_value=1, max_value=d_max))
+        zero_lead = data.draw(st.integers(min_value=0, max_value=d))
+        b = data.draw(st.sampled_from([-1, 1, None]))
+        rho = data.draw(st.floats(min_value=0.05, max_value=3.0))
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, m=m, d=d, rho=rho, normalized=False)
+        state.w[:zero_lead] = 0.0
+        r = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        errors = truncate_rescale_errors(state, r, b, d_min, d_max)
+        expected = d_min + min(range(len(errors)), key=errors.__getitem__)
+        assert select_rank(state, RankSelectionConfig(d_min, d_max), r, b) == expected
 
     def test_all_tied_returns_d_min(self):
         rng = np.random.default_rng(20)
@@ -326,16 +367,18 @@ class TestSelectRank:
 class TestTruncatedStatistics:
     def test_prefix_quantities_match_direct_computation(self):
         rng = np.random.default_rng(22)
-        state = random_state(rng, m=9, d=6)
-        r, _ = random_sample(rng, 9)
-        x, n = truncated_statistics(state, r)
-        for d in range(1, 7):
+        state = random_state(rng, m=9, d=6, normalized=False)
+        r, b = random_sample(rng, 9)
+        stat, xr, z = _truncated_statistics(state, RankSelectionConfig(2, 6), r, b)
+        assert np.array_equal(z, state.S.conj().T @ r)
+        for d in range(2, 7):
             w_t, s_t = state.w[:d], state.S[:, :d]
-            assert x[d - 1] == pytest.approx(
-                complex(np.vdot(w_t, s_t.conj().T @ r)), rel=1e-12
-            )
+            x = np.vdot(w_t, s_t.conj().T @ r).real
             sw = s_t @ w_t
-            assert n[d - 1] == pytest.approx(np.vdot(sw, sw).real, rel=1e-12)
+            assert xr[d - 2] == pytest.approx(x, rel=1e-12)
+            assert stat[d - 2] == pytest.approx(
+                b * x / np.sqrt(np.vdot(sw, sw).real), rel=1e-12
+            )
 
 
 class TestRankSelectionConfig:

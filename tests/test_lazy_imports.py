@@ -1,7 +1,8 @@
 """Import-path guard: a default run loads numpy and mberlink only.
 
-``q_function`` binds ``scipy.special.erfc`` on first use and the harness
-imports its process pool only for ``jobs > 1``; these tests pin both, and
+``q_function`` binds ``scipy.special.erfc`` on first use (``select_rank``
+never calls it) and the harness imports its process pool only for
+``jobs > 1``; these tests pin both, and
 that the lazily bound Q-function is the very same scipy evaluation.
 """
 
@@ -19,11 +20,14 @@ from mberlink.harness import ExperimentConfig, run_trial
 
 _GUARD = """
 import dataclasses, sys
+import numpy as np
 import mberlink.cli
 from mberlink.harness import ExperimentConfig, run_monte_carlo, run_trial
+from mberlink.jio_mber import RankSelectionConfig, init_state, select_rank
 cfg = dataclasses.replace(ExperimentConfig(), tr_symbols=20, dd_symbols=30, num_trials=2)
 run_trial(cfg, cfg.base_seed)
 run_monte_carlo(cfg, jobs=1)
+select_rank(init_state(4, 3, 0.1, 0.1, 1, 1.0), RankSelectionConfig(1, 3), np.ones(4, complex))
 print(",".join(m for m in ("scipy", "concurrent.futures.process") if m in sys.modules))
 """
 

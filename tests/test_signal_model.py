@@ -13,12 +13,12 @@ from mberlink.signal_model import (
     _NOISE_SPAWN_KEY,
     JakesChannel,
     SpreadingCode,
-    StaticChannel,
     UserConfig,
     build_convolution_matrix,
     generate_gold_family,
     synthesize_arrays,
 )
+from static_channel import StaticChannel
 
 
 def j0_series(x: float) -> float:
