@@ -7,7 +7,6 @@ from .detector_core import (
     DecisionStatistic,
     decision_statistic,
     error_probability,
-    filter_and_decide,
     gradient_S,
     gradient_w,
     q_function,
@@ -32,7 +31,6 @@ from .jio_mber import (
     scale_filter,
     select_rank,
     update_filter,
-    update_projection,
 )
 from .signal_model import (
     JakesChannel,
@@ -66,7 +64,6 @@ __all__ = [
     "decision_statistic",
     "emit_csv",
     "error_probability",
-    "filter_and_decide",
     "generate_gold_family",
     "gradient_S",
     "gradient_w",
@@ -85,5 +82,4 @@ __all__ = [
     "sweep",
     "synthesize_arrays",
     "update_filter",
-    "update_projection",
 ]

@@ -81,7 +81,7 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args)
     result = harness.run_monte_carlo(cfg, jobs=args.jobs)
     harness.emit_csv(result, args.out)
-    print(f"wrote {args.out} ({result.num_trials} trials, {result.wall_time_s:.1f}s)")
+    print(f"wrote {args.out} ({result.config.num_trials} trials, {result.wall_time_s:.1f}s)")
     for name in cfg.detectors:
         print(
             f"  {name}: final BER {result.final_ber[name]:.4g} "

@@ -56,20 +56,6 @@ def _decide(x_real: float) -> int:
     return 1 if x_real >= 0.0 else -1
 
 
-def filter_and_decide(w: np.ndarray, rbar: np.ndarray) -> tuple[DecisionStatistic, int]:
-    """Filter output w^H rbar and the hard decision sign(Re), +1 on ties.
-
-    A non-finite output raises :class:`~mberlink.errors.NumericalError`.
-    """
-    if w.shape[0] != rbar.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: filter length {w.shape[0]} vs input {rbar.shape[0]}"
-        )
-    x = complex(np.vdot(w, rbar))
-    bit = _decide(x.real)
-    return decision_statistic(x, bit), bit
-
-
 def q_function(x):
     """Gaussian tail probability Q(x) = P(Z > x), Z standard normal."""
     from scipy.special import erfc  # imported here: only Q needs scipy

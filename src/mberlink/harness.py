@@ -148,8 +148,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("rank_sweep", f"ranks must lie in [1, M={cfg.M}]")
     if not 0.0 <= cfg.rank_averaging < 1.0:
         bad("rank_averaging", "rank_averaging must be in [0, 1)")
-    if cfg.smoothing_window < 0:
-        bad("smoothing_window", "smoothing_window must be >= 0")
+    if not 0 <= cfg.smoothing_window <= cfg.num_symbols:
+        bad("smoothing_window", f"smoothing_window must lie in [0, {cfg.num_symbols}]")
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +262,6 @@ def format_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_config(cfg))
-
-
 # ---------------------------------------------------------------------------
 # detector adapters
 # ---------------------------------------------------------------------------
@@ -289,9 +284,8 @@ class _JioAutoAdapter:
 
     def __init__(self, cfg: ExperimentConfig, rho: float):
         self.state = init_state(cfg.M, cfg.D_max, cfg.mu_w, cfg.mu_S, cfg.J, rho)
-        self.ranks = RankSelectionConfig(
-            cfg.D_min, cfg.D_max, averaging_factor=cfg.rank_averaging
-        )
+        self.ranks = RankSelectionConfig(cfg.D_min, cfg.D_max)
+        self.averaging = cfg.rank_averaging
         self._avg = None
         self.last_rank = cfg.D_min
 
@@ -300,10 +294,10 @@ class _JioAutoAdapter:
         stat, xr, z = _truncated_statistics(
             state, self.ranks, r, true_bit if training else None
         )
-        if self.ranks.averaging_factor > 0.0:
+        if self.averaging > 0.0:
             # extension: exponentially averaged error-probability metric
             p = q_function(stat / state.rho)
-            lam = self.ranks.averaging_factor
+            lam = self.averaging
             self._avg = p if self._avg is None else lam * self._avg + (1 - lam) * p
             pick = int(np.argmin(self._avg))
         else:
@@ -314,33 +308,29 @@ class _JioAutoAdapter:
         return decided
 
 
-class _LmsAdapter:
-    def __init__(self, cfg: ExperimentConfig, rho: float):
-        self.state = init_full_rank(cfg.M, cfg.mu_lms)
+class _FullRankAdapter:
+    """Decides on ``w^H r``, then steps ``update`` (a baselines rule)."""
+
+    def __init__(self, update, M: int, mu: float, rho: float | None = None):
+        self.update = update
+        self.state = init_full_rank(M, mu, rho)
 
     def step(self, r, true_bit, training):
         wr = np.vdot(self.state.w, r)
         decided = _decide(wr.real)
-        lms_update(self.state, r, true_bit if training else decided, wr)
+        self.update(self.state, r, true_bit if training else decided, wr)
         return decided
 
 
-class _FrMberAdapter:
-    def __init__(self, cfg: ExperimentConfig, rho: float):
-        self.state = init_full_rank(cfg.M, cfg.mu_fr_mber, rho)
-
-    def step(self, r, true_bit, training):
-        wr = np.vdot(self.state.w, r)
-        decided = _decide(wr.real)
-        mber_full_rank_update(self.state, r, true_bit if training else decided, wr)
-        return decided
-
-
+# the full-rank entries read this module's update names when a trial
+# builds its detectors, so a rebinding of those names (tracing) applies
 _ADAPTERS = {
     "jio_mber_fixed": _JioFixedAdapter,
     "jio_mber_auto": _JioAutoAdapter,
-    "full_rank_lms": _LmsAdapter,
-    "full_rank_mber": _FrMberAdapter,
+    "full_rank_lms": lambda cfg, rho: _FullRankAdapter(lms_update, cfg.M, cfg.mu_lms),
+    "full_rank_mber": lambda cfg, rho: _FullRankAdapter(
+        mber_full_rank_update, cfg.M, cfg.mu_fr_mber, rho
+    ),
 }
 
 
@@ -362,7 +352,6 @@ class TrialResult:
     decisions: dict
     true_bits: np.ndarray
     selected_ranks: dict
-    tr_symbols: int
     stage_s: dict
     health: dict = field(default_factory=dict)
 
@@ -466,7 +455,6 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
         decisions=decisions,
         true_bits=truth.copy(),
         selected_ranks=ranks,
-        tr_symbols=tr,
         stage_s={
             "synthesis": synthesized - start,
             "detection": time.perf_counter() - synthesized,
@@ -485,17 +473,13 @@ class ExperimentResult:
     """Trial-averaged BER traces plus steady-state summaries."""
 
     config: ExperimentConfig
-    snr_db: float
     ber_trace: dict
     final_ber: dict
     final_stderr: dict
     final_ber_trials: dict
     rank_counts: dict
     final_window: int
-    num_trials: int
-    base_seed: int
     wall_time_s: float
-    version: str
     # seconds summed over trials; CPU-seconds across workers when jobs > 1
     stage_s: dict = field(default_factory=dict)
     # health counters summed over trials (see _sum_health)
@@ -516,7 +500,6 @@ class SweepResult:
     rows: list
     config: ExperimentConfig
     wall_time_s: float
-    version: str
     # stage seconds summed over every grid point's trials
     stage_s: dict = field(default_factory=dict)
     # each grid point's health counters, keyed by its CSV axis value
@@ -526,10 +509,13 @@ class SweepResult:
 def run_monte_carlo(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Average ``cfg.num_trials`` independent trials (seeds base_seed+t).
 
-    Trials may run in parallel processes (``jobs``); aggregation is by
-    trial index, so results are identical for any job count.
+    Trials may run in parallel processes (``jobs`` >= 1, at most one per
+    trial); aggregation is by trial index, so results are identical for
+    any job count.
     """
     validate_config(cfg)
+    if jobs < 1:
+        raise ConfigurationError(f"need jobs >= 1, got {jobs}", field="jobs")
     start = time.perf_counter()
     seeds = [cfg.base_seed + t for t in range(cfg.num_trials)]
     worker = functools.partial(run_trial, cfg)
@@ -537,7 +523,7 @@ def run_monte_carlo(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = max(1, cfg.num_trials // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, cfg.num_trials)) as pool:
             trials = list(pool.map(worker, seeds, chunksize=chunk))
     else:
         trials = [worker(seed) for seed in seeds]
@@ -569,17 +555,13 @@ def run_monte_carlo(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
             rank_counts[name] = counts
     return ExperimentResult(
         config=cfg,
-        snr_db=float(cfg.snr_db),
         ber_trace=ber_trace,
         final_ber=final_ber,
         final_stderr=final_stderr,
         final_ber_trials=final_trials,
         rank_counts=rank_counts,
         final_window=window,
-        num_trials=cfg.num_trials,
-        base_seed=cfg.base_seed,
         wall_time_s=time.perf_counter() - start,
-        version=f"mberlink-{__version__}",
         stage_s=_sum_stages(t.stage_s for t in trials),
         health=_sum_health(trials),
     )
@@ -642,15 +624,17 @@ def sweep(cfg: ExperimentConfig, axis: str, jobs: int = 1) -> SweepResult:
     if not points:
         raise ConfigurationError(f"empty sweep grid for axis {axis!r}")
 
+    # every point is built and validated before the first one runs
     base_snr = cfg.snr_db if not isinstance(cfg.snr_db, tuple) else 15.0
+    point_cfgs = [
+        dataclasses.replace(cfg, **{"snr_db": base_snr, **make(p)}) for p in points
+    ]
+    for point_cfg in point_cfgs:
+        validate_config(point_cfg)
     rows = []
     stages = []
     health = {}
-    for point in points:
-        overrides = make(point)
-        if axis != "snr":
-            overrides.setdefault("snr_db", base_snr)
-        point_cfg = dataclasses.replace(cfg, **overrides)
+    for point, point_cfg in zip(points, point_cfgs):
         result = run_monte_carlo(point_cfg, jobs=jobs)
         stages.append(result.stage_s)
         if result.health:
@@ -669,7 +653,6 @@ def sweep(cfg: ExperimentConfig, axis: str, jobs: int = 1) -> SweepResult:
         rows=rows,
         config=cfg,
         wall_time_s=time.perf_counter() - start,
-        version=f"mberlink-{__version__}",
         stage_s=_sum_stages(stages),
         health=health,
     )
@@ -703,15 +686,15 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
 def _write_sidecar(path: str, kind: str, result) -> None:
     meta = {
         "kind": kind,
-        "version": result.version,
+        "version": f"mberlink-{__version__}",
         "wall_time_s": result.wall_time_s,
         "stage_s": result.stage_s,
         "health": result.health,
         "config": _config_dict(result.config),
     }
     if kind == "trace":
-        meta["base_seed"] = result.base_seed
-        meta["num_trials"] = result.num_trials
+        meta["base_seed"] = result.config.base_seed
+        meta["num_trials"] = result.config.num_trials
         meta["final_window"] = result.final_window
         meta["rank_counts"] = {
             name: counts.tolist() for name, counts in result.rank_counts.items()

@@ -51,24 +51,16 @@ class JioState:
 
 @dataclass(frozen=True)
 class RankSelectionConfig:
-    """Allowed rank range for automatic selection.
-
-    ``averaging_factor`` > 0 enables an exponentially averaged variant of
-    the per-symbol error-probability metric (extension; 0 disables it and
-    reproduces the instantaneous rule).
-    """
+    """Allowed rank range ``[d_min, d_max]`` for automatic selection."""
 
     d_min: int
     d_max: int
-    averaging_factor: float = 0.0
 
     def __post_init__(self):
         if not 1 <= self.d_min <= self.d_max:
             raise ConfigurationError(
                 f"need 1 <= d_min <= d_max, got [{self.d_min}, {self.d_max}]"
             )
-        if not 0.0 <= self.averaging_factor < 1.0:
-            raise ConfigurationError("averaging_factor must be in [0, 1)")
 
 
 def init_state(
@@ -131,11 +123,6 @@ def update_filter(state: JioState, r: np.ndarray, b: int) -> np.ndarray:
     return _cycle(state.S, state.w, r, b, state.rho, state.mu_w, state.mu_S)[1]
 
 
-def update_projection(state: JioState, r: np.ndarray, b: int) -> np.ndarray:
-    """One projection-matrix recursion; returns the new S, state untouched."""
-    return _cycle(state.S, state.w, r, b, state.rho, state.mu_w, state.mu_S)[0]
-
-
 def scale_filter(state: JioState) -> JioState:
     """Rescale w so that w^H S^H S w = 1; skipped (and flagged) near zero.
 
@@ -148,8 +135,8 @@ def scale_filter(state: JioState) -> JioState:
 def _adapt(state: JioState, r: np.ndarray, b: int, z: np.ndarray | None = None) -> None:
     """Run the J inner cycles in place; ``z`` is ``S^H r`` if already known.
 
-    Same arithmetic as :func:`update_filter`, :func:`update_projection`
-    and :func:`scale_filter` applied in turn.
+    Each cycle is :func:`_cycle` (whose filter half is
+    :func:`update_filter`) followed by :func:`scale_filter`.
     """
     S, w, rho = state.S, state.w, state.rho
     mu_w, mu_S = state.mu_w, state.mu_S

@@ -28,6 +28,9 @@ _NOISE_SPAWN_KEY = 0x7FFFFFFF
 # synthesize_arrays is the stream plus buffers of this many symbols
 _BLOCK = 256
 
+# sum-of-sinusoids arrival angles per fading tap in JakesChannel
+_NUM_OSCILLATORS = 16
+
 
 @dataclass(frozen=True)
 class SpreadingCode:
@@ -119,29 +122,21 @@ def build_convolution_matrix(code: SpreadingCode, paths: int) -> np.ndarray:
 class JakesChannel:
     """Per-symbol Rayleigh fading process, one oscillator bank per tap.
 
-    Sum-of-sinusoids realization with ``num_oscillators`` arrival angles
-    per tap.  Angle n for a tap sits in sector ((2*pi*n - pi + theta) /
-    (4*num_oscillators)) with a per-tap random offset theta, and the
+    Sum-of-sinusoids realization with ``_NUM_OSCILLATORS`` (16) arrival
+    angles per tap.  Angle n for a tap sits in sector ((2*pi*n - pi +
+    theta) / (4*16)) with a per-tap random offset theta, and the
     in-phase/quadrature components carry independent random phases, so
     the lag-k tap autocorrelation approaches J0(2*pi*fd*Ts*k).  Tap
     powers follow ``power_profile_db`` relative to tap 0; the whole
     trajectory is a pure function of ``(seed, symbol index)``.
     """
 
-    def __init__(
-        self,
-        power_profile_db,
-        normalized_doppler: float,
-        seed: int,
-        num_oscillators: int = 16,
-    ):
+    def __init__(self, power_profile_db, normalized_doppler: float, seed: int):
         profile = np.atleast_1d(np.asarray(power_profile_db, dtype=np.float64))
         if profile.ndim != 1 or profile.shape[0] < 1:
             raise ConfigurationError("power profile must be a non-empty 1-D sequence")
         if normalized_doppler < 0:
             raise ConfigurationError("normalized Doppler must be >= 0")
-        if num_oscillators < 1:
-            raise ConfigurationError("need at least one oscillator per tap")
 
         self.power_profile_db = profile
         self.normalized_doppler = float(normalized_doppler)
@@ -149,7 +144,7 @@ class JakesChannel:
         self.num_taps = profile.shape[0]
 
         rng = np.random.default_rng(seed)
-        n_osc = num_oscillators
+        n_osc = _NUM_OSCILLATORS
         omega = 2.0 * np.pi * self.normalized_doppler
         theta = rng.uniform(-np.pi, np.pi, size=self.num_taps)
         self._phase_i = rng.uniform(-np.pi, np.pi, size=(self.num_taps, n_osc))
@@ -201,9 +196,6 @@ def synthesize_arrays(
     num_symbols: int,
     sigma: float,
     seed: int,
-    *,
-    spreading_gain: int | None = None,
-    paths: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Array form of the received stream: (num_symbols x M, num_symbols x K).
 
@@ -225,29 +217,22 @@ def synthesize_arrays(
 
     Per-user bits come from generators spawned off ``seed`` with the
     user's code id, so a user's bit/channel realization is independent of
-    which other users are present.
-
-    ``spreading_gain``/``paths`` are only needed when ``users`` is empty
-    (noise-only streams).
+    which other users are present.  ``users`` must be non-empty, and all
+    users share one spreading gain and one path count.
     """
     if sigma < 0:
         raise ConfigurationError("sigma must be >= 0")
     if num_symbols < 1:
         raise ConfigurationError("num_symbols must be >= 1")
-    if users:
-        n = users[0].code.length
-        lp = users[0].channel.num_taps
-        for u in users:
-            if u.code.length != n or u.channel.num_taps != lp:
-                raise ConfigurationError(
-                    "all users must share the spreading gain and path count"
-                )
-    else:
-        if spreading_gain is None or paths is None:
+    if not users:
+        raise ConfigurationError("need at least one user")
+    n = users[0].code.length
+    lp = users[0].channel.num_taps
+    for u in users:
+        if u.code.length != n or u.channel.num_taps != lp:
             raise ConfigurationError(
-                "spreading_gain and paths are required when no users are given"
+                "all users must share the spreading gain and path count"
             )
-        n, lp = spreading_gain, paths
     if lp - 1 > n:
         raise ConfigurationError("paths may exceed the spreading gain by at most 1")
 

@@ -101,6 +101,14 @@ def test_config_error_exit_code(tmp_path):
     assert code == 2
 
 
+def test_jobs_below_one_exit_code(fast_config, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["run", "--config", str(fast_config), "--out", str(out), "--jobs", "0"])
+    assert code == 2
+    assert "jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_io_error_exit_code(fast_config, tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     code = main(["run", "--config", str(fast_config), "--out", str(missing_dir)])

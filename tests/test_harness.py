@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from mberlink import harness
 from mberlink.detector_core import q_function
 from mberlink.errors import ConfigParseError, ConfigurationError, NumericalError
 from mberlink.harness import (
@@ -23,7 +24,6 @@ from mberlink.harness import (
     smooth_trace,
     sweep,
     validate_config,
-    write_config,
 )
 from mberlink.harness import _build_users
 from mberlink.jio_mber import _adapt
@@ -115,7 +115,7 @@ class TestParseConfig:
             rank_sweep=(2, 4, 6),
         )
         path = tmp_path / "roundtrip.cfg"
-        write_config(cfg, path)
+        path.write_text(format_config(cfg), encoding="utf-8")
         assert parse_config(path) == cfg
 
 
@@ -139,6 +139,23 @@ class TestValidateConfig:
     def test_unsupported_gain(self):
         with pytest.raises(ConfigurationError):
             validate_config(dataclasses.replace(FAST, N=16))
+
+    @pytest.mark.parametrize("averaging", [-0.1, 1.0])
+    def test_rank_averaging_must_lie_in_unit_interval(self, averaging):
+        with pytest.raises(ConfigurationError) as err:
+            validate_config(dataclasses.replace(FAST, rank_averaging=averaging))
+        assert err.value.field == "rank_averaging"
+
+    def test_smoothing_window_longer_than_trace_rejected(self, tmp_path):
+        """A window beyond the 10 symbols would make emit_csv write 25
+        trace rows for symbols that do not exist."""
+        path = tmp_path / "bad.cfg"
+        path.write_text("tr_symbols = 5\ndd_symbols = 5\nsmoothing_window = 25\n")
+        with pytest.raises(ConfigParseError) as err:
+            parse_config(path)
+        assert err.value.line == 3
+        assert "smoothing_window" in str(err.value)
+        validate_config(dataclasses.replace(FAST, smoothing_window=FAST.num_symbols))
 
 
 class TestNoiseMapping:
@@ -250,9 +267,9 @@ def _two_pass_auto_step(adapter, r, true_bit, training):
     else:
         reference = 1 if x.real[state.w.shape[0] - 1] >= 0.0 else -1
     stat = np.where(valid, reference * xr / np.sqrt(np.where(valid, nn, 1.0)), 0.0)
-    if ranks.averaging_factor > 0.0:
+    if adapter.averaging > 0.0:
         p = q_function(stat / state.rho)
-        lam = ranks.averaging_factor
+        lam = adapter.averaging
         adapter._avg = p if adapter._avg is None else lam * adapter._avg + (1 - lam) * p
         pick = int(np.argmin(adapter._avg))
     else:
@@ -437,6 +454,12 @@ class TestRunMonteCarlo:
             assert np.array_equal(serial.ber_trace[name], parallel.ber_trace[name])
             assert serial.final_ber[name] == parallel.final_ber[name]
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ConfigurationError) as err:
+            run_monte_carlo(FAST, jobs=jobs)
+        assert err.value.field == "jobs"
+
     def test_final_window_capped_by_trace(self):
         mc = run_monte_carlo(FAST)
         assert mc.final_window == FAST.num_symbols - 0 if FAST.num_symbols < 500 else 500
@@ -491,6 +514,21 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             sweep(FAST, axis="power")
 
+    def test_bad_grid_point_rejected_before_any_run(self, monkeypatch):
+        """K = 3 needs three amplitudes; the K = 2 point must not run first."""
+        calls = []
+
+        def counting(point_cfg, jobs=1):
+            calls.append(point_cfg.K)
+            return run_monte_carlo(point_cfg, jobs=jobs)
+
+        monkeypatch.setattr(harness, "run_monte_carlo", counting)
+        cfg = dataclasses.replace(FAST, amplitudes=(1.0, 0.5), users_sweep=(2, 3))
+        with pytest.raises(ConfigurationError) as err:
+            sweep(cfg, axis="users")
+        assert err.value.field == "amplitudes"
+        assert calls == []
+
 
 class TestEmitCsv:
     def test_empty_result_writes_header_only(self, tmp_path):
@@ -498,25 +536,19 @@ class TestEmitCsv:
 
         empty_trace = ExperimentResult(
             config=FAST,
-            snr_db=12.0,
             ber_trace={},
             final_ber={},
             final_stderr={},
             final_ber_trials={},
             rank_counts={},
             final_window=0,
-            num_trials=0,
-            base_seed=0,
             wall_time_s=0.0,
-            version="mberlink-test",
         )
         path = tmp_path / "empty.csv"
         emit_csv(empty_trace, path)
         assert path.read_text() == "symbol_index,detector,ber\n"
 
-        empty_sweep = SweepResult(
-            axis="snr", rows=[], config=FAST, wall_time_s=0.0, version="mberlink-test"
-        )
+        empty_sweep = SweepResult(axis="snr", rows=[], config=FAST, wall_time_s=0.0)
         path2 = tmp_path / "empty_sweep.csv"
         emit_csv(empty_sweep, path2)
         assert path2.read_text() == "axis_value,detector,ber,stderr\n"

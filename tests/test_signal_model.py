@@ -200,10 +200,13 @@ class TestSynthesize:
         assert np.array_equal(bits_both[:, 1], bits1[:, 0])
 
     def test_noise_only_covariance_near_identity(self):
-        """Noise windows have sample covariance within 5% of I (Frobenius)."""
-        windows, _ = synthesize_arrays(
-            [], 100_000, sigma=1.0, seed=123, spreading_gain=31, paths=3
-        )
+        """Noise windows (noisy minus noiseless stream, same seed) have
+        sample covariance within 5% of I (Frobenius)."""
+        users = jakes_users(5, 1)
+        noisy, _ = synthesize_arrays(users, 100_000, sigma=1.0, seed=123)
+        clean, _ = synthesize_arrays(users, 100_000, sigma=0.0, seed=123)
+        windows = noisy - clean
+        del noisy, clean
         m = windows.shape[1]
         cov = windows.conj().T @ windows / windows.shape[0]
         deviation = np.linalg.norm(cov - np.eye(m)) / np.linalg.norm(np.eye(m))
@@ -246,6 +249,7 @@ class TestSynthesize:
             synthesize_arrays(users, 10, sigma=0.0, seed=1)
 
     def test_empty_users_need_dimensions(self):
+        """Only the users give the stream its spreading gain and paths."""
         with pytest.raises(ConfigurationError):
             synthesize_arrays([], 10, sigma=1.0, seed=1)
 
@@ -256,16 +260,13 @@ class TestSynthesize:
             synthesize_arrays([user], 5, sigma=-1.0, seed=1)
 
 
-def _reference_synthesize_arrays(users, num_symbols, sigma, seed, *, spreading_gain=None, paths=None):
+def _reference_synthesize_arrays(users, num_symbols, sigma, seed):
     """The whole-stream synthesis that block synthesis must reproduce bit for bit.
 
     It scales each footprint row by amplitude times bit, where block
     synthesis folds the bits into the taps and scales by the amplitude."""
-    if users:
-        n = users[0].code.length
-        lp = users[0].channel.num_taps
-    else:
-        n, lp = spreading_gain, paths
+    n = users[0].code.length
+    lp = users[0].channel.num_taps
     m = n + lp - 1
     k = len(users)
     num_chips = num_symbols * n + lp - 1
@@ -319,33 +320,31 @@ SIGMA_15DB = 10.0 ** (-15.0 / 20.0)
 
 # N31_K5 and N127_K16 have every amplitude at 1.0, where no scaling is done
 BLOCK_SYNTHESIS_CASES = {
-    "N31_K5": lambda: (jakes_users(5, 5), 1750, SIGMA_15DB, {}),
-    "N127_K16": lambda: (jakes_users(7, 16), 1750, SIGMA_15DB, {}),
-    "amplitude_0.5": lambda: (jakes_users(5, 5, amplitudes=(0.5,) * 5), 1750, SIGMA_15DB, {}),
-    "amplitude_2.3": lambda: (jakes_users(5, 5, amplitudes=(2.3,) * 5), 1750, SIGMA_15DB, {}),
+    "N31_K5": lambda: (jakes_users(5, 5), 1750, SIGMA_15DB),
+    "N127_K16": lambda: (jakes_users(7, 16), 1750, SIGMA_15DB),
+    "amplitude_0.5": lambda: (jakes_users(5, 5, amplitudes=(0.5,) * 5), 1750, SIGMA_15DB),
+    "amplitude_2.3": lambda: (jakes_users(5, 5, amplitudes=(2.3,) * 5), 1750, SIGMA_15DB),
     "unequal_amplitudes": lambda: (
         jakes_users(5, 5, amplitudes=(1.0, 0.5, 2.0, 1.3, 0.7)),
         1750,
         SIGMA_15DB,
-        {},
     ),
-    "Lp1": lambda: (jakes_users(5, 5, profile=(0.0,)), 1750, 0.01, {}),
-    "sigma0": lambda: (jakes_users(5, 5), 1750, 0.0, {}),
-    "noise_only": lambda: ([], 1750, 1.0, {"spreading_gain": 31, "paths": 3}),
-    "one_symbol": lambda: (jakes_users(5, 5), 1, SIGMA_15DB, {}),
-    "block_minus_1": lambda: (jakes_users(5, 5), _BLOCK - 1, SIGMA_15DB, {}),
-    "block": lambda: (jakes_users(5, 5), _BLOCK, SIGMA_15DB, {}),
-    "block_plus_1": lambda: (jakes_users(7, 16), _BLOCK + 1, SIGMA_15DB, {}),
+    "Lp1": lambda: (jakes_users(5, 5, profile=(0.0,)), 1750, 0.01),
+    "sigma0": lambda: (jakes_users(5, 5), 1750, 0.0),
+    "one_symbol": lambda: (jakes_users(5, 5), 1, SIGMA_15DB),
+    "block_minus_1": lambda: (jakes_users(5, 5), _BLOCK - 1, SIGMA_15DB),
+    "block": lambda: (jakes_users(5, 5), _BLOCK, SIGMA_15DB),
+    "block_plus_1": lambda: (jakes_users(7, 16), _BLOCK + 1, SIGMA_15DB),
 }
 
 
 class TestBlockSynthesis:
     @pytest.mark.parametrize("case", sorted(BLOCK_SYNTHESIS_CASES))
     def test_matches_whole_stream_reference(self, case):
-        users, num_symbols, sigma, dims = BLOCK_SYNTHESIS_CASES[case]()
-        windows, bits = synthesize_arrays(users, num_symbols, sigma, seed=77, **dims)
+        users, num_symbols, sigma = BLOCK_SYNTHESIS_CASES[case]()
+        windows, bits = synthesize_arrays(users, num_symbols, sigma, seed=77)
         ref_windows, ref_bits = _reference_synthesize_arrays(
-            users, num_symbols, sigma, seed=77, **dims
+            users, num_symbols, sigma, seed=77
         )
         assert windows.shape == ref_windows.shape
         assert np.array_equal(windows, ref_windows)
