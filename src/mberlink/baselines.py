@@ -1,5 +1,6 @@
 """Runnable full-rank reference detectors: LMS (MSE) and MBER SG."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,6 @@ def mber_full_rank_update(
         state.scaling_skipped = True
         state.w = w_next
         return state
-    state.w = w_next / np.sqrt(norm_sq)
+    state.w = w_next / math.sqrt(norm_sq)
     state.scaling_skipped = False
     return state

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import NumericalError
 
 _SQRT2 = np.sqrt(2.0)
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 # squared filter norms below this count as zero (no scaling, no gradient)
 _NORM_EPS = 1e-12
 
@@ -78,10 +78,12 @@ def _mber_factor(xr, b, rho, n=1.0):
     ``n = w^H S^H S w`` is 1 on a unit-norm state.  The factor is the
     negated derivative of the error estimate with respect to ``Re[x]``,
     times ``sqrt(n) / 2``; every MBER update and gradient scales by it.
+    It is a Python float, so the caller's scalar arithmetic stays off
+    numpy scalars; ``np.exp`` is kept because ``math.exp`` rounds some
+    arguments differently.
     """
-    return (
-        np.exp(-(xr * xr) / (2.0 * rho * rho * n)) * float(b) / (2.0 * _SQRT_2PI * rho)
-    )
+    e = float(np.exp(-(xr * xr) / (2.0 * rho * rho * n)))
+    return e * float(b) / (2.0 * _SQRT_2PI * rho)
 
 
 def _common_terms(projection: np.ndarray, w: np.ndarray, r: np.ndarray):

@@ -291,7 +291,7 @@ class _JioAutoAdapter:
 
     def step(self, r, true_bit, training):
         state = self.state
-        stat, xr, z = _truncated_statistics(
+        stat, xr, z, SH = _truncated_statistics(
             state, self.ranks, r, true_bit if training else None
         )
         if self.averaging > 0.0:
@@ -304,7 +304,7 @@ class _JioAutoAdapter:
             pick = int(np.argmax(stat))
         self.last_rank = self.ranks.d_min + pick
         decided = _decide(xr[pick])
-        _adapt(state, r, true_bit if training else decided, z)
+        _adapt(state, r, true_bit if training else decided, SH, z)
         return decided
 
 
@@ -514,6 +514,10 @@ def run_monte_carlo(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     any job count.
     """
     validate_config(cfg)
+    if isinstance(cfg.snr_db, tuple):
+        raise ConfigurationError(
+            "a list of snr_db values needs sweep --axis snr", field="snr_db"
+        )
     if jobs < 1:
         raise ConfigurationError(f"need jobs >= 1, got {jobs}", field="jobs")
     start = time.perf_counter()
@@ -606,6 +610,10 @@ def sweep(cfg: ExperimentConfig, axis: str, jobs: int = 1) -> SweepResult:
     validate_config(cfg)
     if axis not in _SWEEP_AXES:
         raise ConfigurationError(f"axis must be one of {_SWEEP_AXES}, got {axis!r}")
+    if axis != "snr" and isinstance(cfg.snr_db, tuple):
+        raise ConfigurationError(
+            f"a list of snr_db values needs axis 'snr', not {axis!r}", field="snr_db"
+        )
     start = time.perf_counter()
     if axis == "snr":
         points = (
@@ -625,10 +633,7 @@ def sweep(cfg: ExperimentConfig, axis: str, jobs: int = 1) -> SweepResult:
         raise ConfigurationError(f"empty sweep grid for axis {axis!r}")
 
     # every point is built and validated before the first one runs
-    base_snr = cfg.snr_db if not isinstance(cfg.snr_db, tuple) else 15.0
-    point_cfgs = [
-        dataclasses.replace(cfg, **{"snr_db": base_snr, **make(p)}) for p in points
-    ]
+    point_cfgs = [dataclasses.replace(cfg, **make(p)) for p in points]
     for point_cfg in point_cfgs:
         validate_config(point_cfg)
     rows = []
@@ -664,11 +669,16 @@ def sweep(cfg: ExperimentConfig, axis: str, jobs: int = 1) -> SweepResult:
 
 
 def smooth_trace(trace: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average for plotting; window <= 1 is a no-op."""
+    """Centered moving average for plotting; window <= 1 is a no-op.
+
+    Near either end the window holds fewer samples, and each output is
+    the mean of the samples actually inside it.
+    """
     if window <= 1:
         return trace
-    kernel = np.ones(window) / window
-    return np.convolve(trace, kernel, mode="same")
+    kernel = np.ones(window)
+    counts = np.convolve(np.ones(len(trace)), kernel, mode="same")
+    return np.convolve(trace, kernel, mode="same") / counts
 
 
 def _fmt(value: float) -> str:

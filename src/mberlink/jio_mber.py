@@ -11,9 +11,13 @@ excitation term and the scaling then establishes the constraint).
 Each cycle computes ``S^H``, ``z = S^H r``, ``Re x = Re(w^H z)``, ``S w``
 and the update factor once and builds both updates from them; only the
 scaling computes ``S w`` again, on the updated state.  The first cycle
-of a symbol reuses the ``z`` of the decision.  A non-finite filter norm
-raises :class:`~mberlink.errors.NumericalError` instead of passing as
-near zero.
+of a symbol reuses the ``S^H``, ``z`` and ``Re x`` that the decision
+formed (the auto-rank detector, which decides on a prefix sum, hands
+over ``S^H`` and ``z`` only), and every cycle reuses one ``r[:, None]``.
+The scalar arithmetic (``Re x``, the update factor, the norm's square
+root) runs on Python floats rather than numpy scalars.
+A non-finite filter norm raises :class:`~mberlink.errors.NumericalError`
+instead of passing as near zero.
 
 Rank selection truncates the leading columns/entries of a state adapted
 at the maximum allowed rank, renormalizes, and picks the rank whose
@@ -73,8 +77,9 @@ def init_state(
         raise ConfigurationError(f"need J >= 1, got {J}")
     if not (mu_w >= 0 and mu_S >= 0):
         raise ConfigurationError("step sizes must be non-negative")
-    if not rho > 0:
-        raise ConfigurationError(f"rho must be positive, got {rho}")
+    if not (rho > 0 and 2.0 * rho * rho > 0):
+        # the update factor divides by 2 rho^2, which must not underflow to 0
+        raise ConfigurationError(f"rho must be positive with 2 rho^2 > 0, got {rho}")
     S = np.zeros((M, D), dtype=np.complex128)
     S[:D, :D] = np.eye(D)
     return JioState(
@@ -88,21 +93,26 @@ def init_state(
     )
 
 
-def _cycle(S, w, r, b, rho, mu_w, mu_S, z=None):
+def _cycle(S, w, r, b, rho, mu_w, mu_S, rc=None, SH=None, z=None, xr=None):
     """One joint update ``(S_next, w_next)`` from the pre-cycle terms.
 
-    ``S^H``, ``z = S^H r`` (unless given), ``Re x``, ``S w`` and the scalar
-    update factor are each computed once; the factor assumes a unit-norm
-    state.
+    ``S^H``, ``z = S^H r``, ``Re x``, ``S w`` and the scalar update factor
+    are each computed once; the factor assumes a unit-norm state.  A
+    caller that already holds ``rc = r[:, None]``, ``SH``, ``z`` or ``xr``
+    of this state passes it instead.
     """
-    SH = S.conj().T
+    if rc is None:
+        rc = r[:, None]
+    if SH is None:
+        SH = S.conj().T
     if z is None:
         z = SH @ r
-    xr = np.vdot(w, z).real
+    if xr is None:
+        xr = float(np.vdot(w, z).real)
     sw = S @ w
     c = _mber_factor(xr, b, rho)
     wc = w.conj()
-    S_next = S + (mu_S * c) * (r[:, None] * wc - xr * (sw[:, None] * wc))
+    S_next = S + (mu_S * c) * (rc * wc - xr * (sw[:, None] * wc))
     w_next = w + (mu_w * c) * (z - xr * (SH @ sw))
     return S_next, w_next
 
@@ -115,7 +125,7 @@ def _unit_norm(S, w):
         raise NumericalError(f"filter norm through the projection is {norm_sq}")
     if norm_sq < _NORM_EPS:
         return w, True
-    return w / np.sqrt(norm_sq), False
+    return w / math.sqrt(norm_sq), False
 
 
 def update_filter(state: JioState, r: np.ndarray, b: int) -> np.ndarray:
@@ -132,18 +142,21 @@ def scale_filter(state: JioState) -> JioState:
     return state
 
 
-def _adapt(state: JioState, r: np.ndarray, b: int, z: np.ndarray | None = None) -> None:
-    """Run the J inner cycles in place; ``z`` is ``S^H r`` if already known.
+def _adapt(state: JioState, r: np.ndarray, b: int, SH=None, z=None, xr=None) -> None:
+    """Run the J inner cycles in place.
 
-    Each cycle is :func:`_cycle` (whose filter half is
-    :func:`update_filter`) followed by :func:`scale_filter`.
+    ``SH``, ``z`` and ``xr`` are the pre-update state's ``S^H``, ``S^H r``
+    and ``Re w^H S^H r`` when the caller already formed them; only the
+    first cycle can use them.  Each cycle is :func:`_cycle` (whose filter
+    half is :func:`update_filter`) followed by :func:`scale_filter`.
     """
     S, w, rho = state.S, state.w, state.rho
     mu_w, mu_S = state.mu_w, state.mu_S
+    rc = r[:, None]
     for _ in range(state.J):
-        S, w_next = _cycle(S, w, r, b, rho, mu_w, mu_S, z)
+        S, w_next = _cycle(S, w, r, b, rho, mu_w, mu_S, rc, SH, z, xr)
         w, skipped = _unit_norm(S, w_next)
-        z = None
+        SH = z = xr = None
     state.S, state.w, state.scaling_skipped = S, w, skipped
 
 
@@ -158,8 +171,10 @@ def jio_step(
     ``b_known`` must be omitted.  A non-finite output raises
     :class:`~mberlink.errors.NumericalError`.
     """
-    z = state.S.conj().T @ r
-    decided = _decide(np.vdot(state.w, z).real)
+    SH = state.S.conj().T
+    z = SH @ r
+    xr = float(np.vdot(state.w, z).real)
+    decided = _decide(xr)
     if state.mode is Mode.TRAINING:
         if b_known is None:
             raise ValueError("training mode requires the true bit")
@@ -168,7 +183,7 @@ def jio_step(
         if b_known is not None:
             raise ValueError("decision-directed mode must not receive a bit")
         b = decided
-    _adapt(state, r, b, z)
+    _adapt(state, r, b, SH, z, xr)
     return state, decided
 
 
@@ -179,15 +194,17 @@ def _truncated_statistics(
 
     Keeping the first ``d`` filter taps and projection columns gives
     ``x_d = w_d^H S_d^H r`` and ``n_d = ||S_d w_d||^2`` (prefix sums, no
-    renormalization).  Returns ``(stat, xr, z)``: entry ``i`` of ``stat``
-    is ``b Re[x_d] / sqrt(n_d)`` for ``d = d_min + i``, or 0 where ``n_d``
-    vanishes; ``xr`` holds the same ``Re[x_d]``; ``z = S^H r``.  ``b=None``
-    takes the full state's own decision as the reference bit.
+    renormalization).  Returns ``(stat, xr, z, SH)``: entry ``i`` of
+    ``stat`` is ``b Re[x_d] / sqrt(n_d)`` for ``d = d_min + i``, or 0 where
+    ``n_d`` vanishes; ``xr`` holds the same ``Re[x_d]``; ``z = S^H r`` and
+    ``SH = S^H``.  ``b=None`` takes the full state's own decision as the
+    reference bit.
     """
     D = state.w.shape[0]
     if cfg.d_max > D:
         raise ConfigurationError(f"d_max={cfg.d_max} exceeds the adapted rank {D}")
-    z = state.S.conj().T @ r
+    SH = state.S.conj().T
+    z = SH @ r
     x = np.cumsum(state.w.conj() * z)
     sw = np.cumsum(state.S * state.w[None, :], axis=1)
     n = (sw.real**2 + sw.imag**2).sum(axis=0)
@@ -197,7 +214,7 @@ def _truncated_statistics(
     if b is None:
         b = 1 if x.real[D - 1] >= 0.0 else -1
     stat = np.where(valid, b * xr / np.sqrt(np.where(valid, nn, 1.0)), 0.0)
-    return stat, xr, z
+    return stat, xr, z, SH
 
 
 def select_rank(
@@ -216,5 +233,5 @@ def select_rank(
     it lets an interference-dominated truncation hijack the decision
     feedback.  Ties break toward the smallest rank.
     """
-    stat, _, _ = _truncated_statistics(state, cfg, r, b)
+    stat = _truncated_statistics(state, cfg, r, b)[0]
     return cfg.d_min + int(np.argmax(stat))

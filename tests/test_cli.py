@@ -109,6 +109,18 @@ def test_jobs_below_one_exit_code(fast_config, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_snr_list_off_the_snr_axis_exit_code(fast_config, tmp_path, capsys):
+    """A listed snr_db is not silently replaced by 15 dB on the users axis."""
+    text = fast_config.read_text().replace("snr_db = 12", "snr_db = 5, 10")
+    fast_config.write_text(text)
+    out = tmp_path / "x.csv"
+    args = ["sweep", "--axis", "users", "--config", str(fast_config), "--out", str(out)]
+    code = main(args)
+    assert code == 2
+    assert "snr_db" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_io_error_exit_code(fast_config, tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     code = main(["run", "--config", str(fast_config), "--out", str(missing_dir)])

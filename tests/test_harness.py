@@ -454,6 +454,25 @@ class TestRunMonteCarlo:
             assert np.array_equal(serial.ber_trace[name], parallel.ber_trace[name])
             assert serial.final_ber[name] == parallel.final_ber[name]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_snr_list_rejected_before_any_trial(self, jobs, monkeypatch):
+        """A list of SNRs belongs to sweep --axis snr; run must not start
+        trials (or a pool) and fail inside them."""
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool started")
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("trial started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        cfg = dataclasses.replace(FAST, snr_db=(5.0, 10.0))
+        with pytest.raises(ConfigurationError) as err:
+            run_monte_carlo(cfg, jobs=jobs)
+        assert err.value.field == "snr_db"
+
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ConfigurationError) as err:
@@ -509,6 +528,30 @@ class TestSweep:
         cfg = dataclasses.replace(FAST, rank_sweep=(2, 4), num_trials=2)
         result = sweep(cfg, axis="rank")
         assert {row.detector for row in result.rows} == {"jio_mber_fixed"}
+
+    @pytest.mark.parametrize("axis", ["users", "rank"])
+    def test_snr_list_rejected_off_the_snr_axis(self, axis, monkeypatch):
+        """A listed snr_db must not be replaced by a default on another axis."""
+        calls = []
+        monkeypatch.setattr(harness, "run_monte_carlo", lambda *a, **k: calls.append(a))
+        cfg = dataclasses.replace(
+            FAST, snr_db=(5.0, 10.0), users_sweep=(1, 2), rank_sweep=(2, 4)
+        )
+        with pytest.raises(ConfigurationError) as err:
+            sweep(cfg, axis=axis)
+        assert err.value.field == "snr_db"
+        assert calls == []
+
+    def test_same_result_for_every_job_count(self, tmp_path):
+        cfg = dataclasses.replace(FAST, users_sweep=(1, 2), num_trials=2)
+        serial = sweep(cfg, axis="users", jobs=1)
+        parallel = sweep(cfg, axis="users", jobs=2)
+        assert serial.rows == parallel.rows
+        assert serial.health == parallel.health
+        serial_csv, parallel_csv = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+        emit_csv(serial, serial_csv)
+        emit_csv(parallel, parallel_csv)
+        assert serial_csv.read_bytes() == parallel_csv.read_bytes()
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -627,3 +670,16 @@ class TestSmoothing:
         trace = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
         smoothed = smooth_trace(trace, 3)
         np.testing.assert_allclose(smoothed[1:4], [1 / 3, 2 / 3, 1 / 3])
+
+    @pytest.mark.parametrize("window", range(2, 11))
+    def test_constant_trace_stays_constant(self, window):
+        """No zero padding at either end, odd or even window."""
+        trace = np.full(10, 0.3)
+        np.testing.assert_allclose(smooth_trace(trace, window), trace, rtol=1e-15)
+
+    def test_ends_average_the_samples_inside_the_window(self):
+        trace = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
+        np.testing.assert_allclose(smooth_trace(trace, 3)[[0, 4]], [0.5, 0.5])
+        # even window: output i averages trace[i - 2 : i + 2]
+        expected = [0.5, 1.0, 1.5, 2.5, 3.0]
+        np.testing.assert_allclose(smooth_trace(np.arange(5.0), 4), expected)

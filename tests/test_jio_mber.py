@@ -73,6 +73,14 @@ class TestInitState:
         with pytest.raises(ConfigurationError):
             init_state(4, 5, 0.1, 0.1, 1, 1.0)
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0, float("nan"), 1e-170])
+    def test_invalid_rho_rejected(self, rho):
+        """The update factor divides by 2 rho^2 in Python floats, so a rho
+        whose square underflows to 0 is rejected up front."""
+        with pytest.raises(ConfigurationError):
+            init_state(4, 2, 0.1, 0.1, 1, rho)
+        init_state(4, 2, 0.1, 0.1, 1, 1e-150)
+
 
 class TestUpdateFilter:
     def test_zero_step_leaves_filter(self):
@@ -246,7 +254,7 @@ class TestJioStep:
 def candidate_errors(state, r, b, d_min=1, d_max=None):
     """Error estimate Q(stat / rho) of each truncation d_min..d_max."""
     cfg = RankSelectionConfig(d_min, d_max or state.w.shape[0])
-    stat, _, _ = _truncated_statistics(state, cfg, r, b)
+    stat, _, _, _ = _truncated_statistics(state, cfg, r, b)
     return q_function(stat / state.rho)
 
 
@@ -375,7 +383,8 @@ class TestTruncatedStatistics:
         rng = np.random.default_rng(22)
         state = random_state(rng, m=9, d=6, normalized=False)
         r, b = random_sample(rng, 9)
-        stat, xr, z = _truncated_statistics(state, RankSelectionConfig(2, 6), r, b)
+        stat, xr, z, SH = _truncated_statistics(state, RankSelectionConfig(2, 6), r, b)
+        assert np.array_equal(SH, state.S.conj().T)
         assert np.array_equal(z, state.S.conj().T @ r)
         for d in range(2, 7):
             w_t, s_t = state.w[:d], state.S[:, :d]
