@@ -1,10 +1,13 @@
 """Monte Carlo experiment orchestration.
 
-A trial synthesizes one seeded DS-CDMA stream and feeds the identical
-sample sequence to every configured detector (paired comparison).  The
-desired user is user 1 (index 0); detectors adapt on its true bits for
-``tr_symbols`` symbols, then on their own decisions, and every decision
-is scored against ground truth.  Trials are averaged into per-symbol
+A trial synthesizes one seeded DS-CDMA stream and runs each configured
+detector over the whole of it in turn, so every detector sees the
+identical sample sequence (paired comparison).  Each detector is a
+generator over the trial's ``(window, reference bit)`` pairs that yields
+one decision per symbol.  The desired user is user 1 (index 0); the
+reference bit is its true bit for ``tr_symbols`` symbols and then None,
+meaning that a detector adapts on its own decisions.  Every decision is
+scored against ground truth.  Trials are averaged into per-symbol
 bit-error-rate traces; sweeps repeat the Monte Carlo run across an SNR,
 user-count or rank grid.
 
@@ -263,75 +266,64 @@ def format_config(cfg: ExperimentConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# detector adapters
+# detectors: each runs over a trial's (window, reference bit) pairs and
+# yields one decision per symbol; a reference bit of None means "adapt on
+# your own decision" (decision-directed operation)
 # ---------------------------------------------------------------------------
 
 
-class _JioFixedAdapter:
-    def __init__(self, cfg: ExperimentConfig, rho: float):
-        self.state = init_state(cfg.M, cfg.D, cfg.mu_w, cfg.mu_S, cfg.J, rho)
-
-    def step(self, r, true_bit, training):
-        self.state.mode = Mode.TRAINING if training else Mode.DECISION_DIRECTED
-        _, decided = jio_step(self.state, r, true_bit if training else None)
-        return decided
+def _jio_fixed(state, stream):
+    for r, b in stream:
+        state.mode = Mode.DECISION_DIRECTED if b is None else Mode.TRAINING
+        yield jio_step(state, r, b)[1]
 
 
-class _JioAutoAdapter:
+def _jio_auto(
+    state, ranks: RankSelectionConfig, averaging: float, stream, chosen: list
+):
     """Adapts at D_max; detects at the per-symbol rank chosen by the rule
-    of :func:`~mberlink.jio_mber.select_rank`, referenced to the true bit
-    in training and to the D_max state's own decision afterwards."""
-
-    def __init__(self, cfg: ExperimentConfig, rho: float):
-        self.state = init_state(cfg.M, cfg.D_max, cfg.mu_w, cfg.mu_S, cfg.J, rho)
-        self.ranks = RankSelectionConfig(cfg.D_min, cfg.D_max)
-        self.averaging = cfg.rank_averaging
-        self._avg = None
-        self.last_rank = cfg.D_min
-
-    def step(self, r, true_bit, training):
-        state = self.state
-        stat, xr, z, SH = _truncated_statistics(
-            state, self.ranks, r, true_bit if training else None
-        )
-        if self.averaging > 0.0:
+    of :func:`~mberlink.jio_mber.select_rank` (referenced to the D_max
+    state's own decision when ``b`` is None) and appends it to ``chosen``."""
+    avg = None
+    for r, b in stream:
+        stat, xr, z, SH = _truncated_statistics(state, ranks, r, b)
+        if averaging > 0.0:
             # extension: exponentially averaged error-probability metric
             p = q_function(stat / state.rho)
-            lam = self.averaging
-            self._avg = p if self._avg is None else lam * self._avg + (1 - lam) * p
-            pick = int(np.argmin(self._avg))
+            avg = p if avg is None else averaging * avg + (1 - averaging) * p
+            pick = int(np.argmin(avg))
         else:
             pick = int(np.argmax(stat))
-        self.last_rank = self.ranks.d_min + pick
+        chosen.append(ranks.d_min + pick)
         decided = _decide(xr[pick])
-        _adapt(state, r, true_bit if training else decided, SH, z)
-        return decided
+        _adapt(state, r, decided if b is None else b, SH, z)
+        yield decided
 
 
-class _FullRankAdapter:
+def _full_rank(update, state, stream):
     """Decides on ``w^H r``, then steps ``update`` (a baselines rule)."""
-
-    def __init__(self, update, M: int, mu: float, rho: float | None = None):
-        self.update = update
-        self.state = init_full_rank(M, mu, rho)
-
-    def step(self, r, true_bit, training):
-        wr = np.vdot(self.state.w, r)
+    for r, b in stream:
+        wr = np.vdot(state.w, r)
         decided = _decide(wr.real)
-        self.update(self.state, r, true_bit if training else decided, wr)
-        return decided
+        update(state, r, decided if b is None else b, wr)
+        yield decided
 
 
-# the full-rank entries read this module's update names when a trial
-# builds its detectors, so a rebinding of those names (tracing) applies
-_ADAPTERS = {
-    "jio_mber_fixed": _JioFixedAdapter,
-    "jio_mber_auto": _JioAutoAdapter,
-    "full_rank_lms": lambda cfg, rho: _FullRankAdapter(lms_update, cfg.M, cfg.mu_lms),
-    "full_rank_mber": lambda cfg, rho: _FullRankAdapter(
-        mber_full_rank_update, cfg.M, cfg.mu_fr_mber, rho
-    ),
-}
+def _detector(name: str, cfg: ExperimentConfig, rho: float, stream, chosen: list):
+    """Start detector ``name`` on ``stream``.  The full-rank rules are read
+    from this module's names here, so a rebinding of them (tracing) applies."""
+    if name == "jio_mber_fixed":
+        state = init_state(cfg.M, cfg.D, cfg.mu_w, cfg.mu_S, cfg.J, rho)
+        return _jio_fixed(state, stream)
+    if name == "jio_mber_auto":
+        state = init_state(cfg.M, cfg.D_max, cfg.mu_w, cfg.mu_S, cfg.J, rho)
+        ranks = RankSelectionConfig(cfg.D_min, cfg.D_max)
+        return _jio_auto(state, ranks, cfg.rank_averaging, stream, chosen)
+    if name == "full_rank_lms":
+        return _full_rank(lms_update, init_full_rank(cfg.M, cfg.mu_lms), stream)
+    return _full_rank(
+        mber_full_rank_update, init_full_rank(cfg.M, cfg.mu_fr_mber, rho), stream
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +335,11 @@ _ADAPTERS = {
 class TrialResult:
     """Per-symbol records of one trial (all detectors share the stream).
 
-    ``health`` holds counters that flag a silently failing detector; they
-    never change a decision.  For ``full_rank_lms`` it counts the symbols
-    whose step is unstable (see :func:`_lms_health`).
+    ``stage_s`` holds the seconds spent on ``synthesis`` and on each
+    detector, keyed by its name.  ``health`` holds counters that flag a
+    silently failing detector; they never change a decision.  For
+    ``full_rank_lms`` it counts the symbols whose step is unstable (see
+    :func:`_lms_health`).
     """
 
     errors: dict
@@ -423,42 +417,39 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
     windows, bits = synthesize_arrays(users, num_symbols, sigma, trial_seed)
     synthesized = time.perf_counter()
 
-    detectors = {name: _ADAPTERS[name](cfg, rho) for name in cfg.detectors}
-    decisions = {name: np.zeros(num_symbols, dtype=np.int8) for name in cfg.detectors}
-    ranks = {
-        name: np.zeros(num_symbols, dtype=np.int16)
-        for name in cfg.detectors
-        if name == "jio_mber_auto"
-    }
-
-    tr = cfg.tr_symbols
     truth = bits[:, 0]
-    for i, true_bit in enumerate(truth.tolist()):
-        training = i < tr
-        r = windows[i]
-        for name, det in detectors.items():
-            try:
-                decided = det.step(r, true_bit, training)
-            except NumericalError as exc:
-                raise NumericalError(
-                    f"{name} at symbol {i} of trial seed {trial_seed}: {exc}"
-                ) from exc
-            decisions[name][i] = decided
-            if name in ranks:
-                ranks[name][i] = det.last_rank
+    # the true bit trains; None afterwards makes each detector follow itself
+    refs = truth[: cfg.tr_symbols].tolist() + [None] * cfg.dd_symbols
+    decisions = {}
+    ranks = {}
+    stage_s = {"synthesis": synthesized - start}
+    for name in cfg.detectors:
+        began = time.perf_counter()
+        chosen = []
+        detector = _detector(name, cfg, rho, zip(windows, refs), chosen)
+        decided = np.zeros(num_symbols, dtype=np.int8)
+        try:
+            # the index is the symbol in progress when the detector raises
+            for i in range(num_symbols):
+                decided[i] = next(detector)
+        except NumericalError as exc:
+            raise NumericalError(
+                f"{name} at symbol {i} of trial seed {trial_seed}: {exc}"
+            ) from exc
+        stage_s[name] = time.perf_counter() - began
+        decisions[name] = decided
+        if name == "jio_mber_auto":
+            ranks[name] = np.array(chosen, dtype=np.int16)
     errors = {name: (dec != truth).astype(np.uint8) for name, dec in decisions.items()}
     health = {}
-    if "full_rank_lms" in detectors:
+    if "full_rank_lms" in decisions:
         health["full_rank_lms"] = _lms_health(windows, cfg.mu_lms)
     return TrialResult(
         errors=errors,
         decisions=decisions,
         true_bits=truth.copy(),
         selected_ranks=ranks,
-        stage_s={
-            "synthesis": synthesized - start,
-            "detection": time.perf_counter() - synthesized,
-        },
+        stage_s=stage_s,
         health=health,
     )
 
@@ -672,13 +663,16 @@ def smooth_trace(trace: np.ndarray, window: int) -> np.ndarray:
     """Centered moving average for plotting; window <= 1 is a no-op.
 
     Near either end the window holds fewer samples, and each output is
-    the mean of the samples actually inside it.
+    the mean of the samples actually inside it.  The output has
+    ``len(trace)`` values for any window, longer than the trace or not.
     """
     if window <= 1:
         return trace
     kernel = np.ones(window)
-    counts = np.convolve(np.ones(len(trace)), kernel, mode="same")
-    return np.convolve(trace, kernel, mode="same") / counts
+    # output i averages trace[i - window // 2 : i + (window + 1) // 2]
+    centre = slice((window - 1) // 2, (window - 1) // 2 + len(trace))
+    counts = np.convolve(np.ones(len(trace)), kernel)[centre]
+    return np.convolve(trace, kernel)[centre] / counts
 
 
 def _fmt(value: float) -> str:

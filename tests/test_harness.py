@@ -13,7 +13,9 @@ from mberlink.errors import ConfigParseError, ConfigurationError, NumericalError
 from mberlink.harness import (
     DETECTOR_NAMES,
     ExperimentConfig,
-    _ADAPTERS,
+    _detector,
+    _full_rank,
+    _jio_auto,
     emit_csv,
     format_config,
     kernel_radius,
@@ -25,9 +27,16 @@ from mberlink.harness import (
     sweep,
     validate_config,
 )
+from mberlink.baselines import init_full_rank
 from mberlink.harness import _build_users
-from mberlink.jio_mber import _adapt
+from mberlink.jio_mber import RankSelectionConfig, _adapt, init_state
 from mberlink.signal_model import synthesize_arrays
+
+def _references(cfg, bits):
+    """Reference bits as a trial feeds them to its detectors: the true bit
+    in training, None (follow your own decision) afterwards."""
+    return [int(b) if i < cfg.tr_symbols else None for i, b in enumerate(bits[:, 0])]
+
 
 # small, fast configuration for plumbing tests
 FAST = ExperimentConfig(
@@ -218,8 +227,9 @@ class TestRunTrial:
             assert result.errors[name][1:].sum() == 0
 
     def test_matches_manual_adapter_composition(self):
-        """run_trial equals driving the adapters directly over the same
-        stream with the training mask i < tr_symbols."""
+        """run_trial equals running each detector on its own over the same
+        stream, with the true bit as reference for i < tr_symbols and
+        None (the detector's own decision) afterwards."""
         cfg = FAST
         seed = 99
         result = run_trial(cfg, seed)
@@ -228,11 +238,16 @@ class TestRunTrial:
         users = _build_users(cfg, seed)
         windows, bits = synthesize_arrays(users, cfg.num_symbols, sigma, seed)
         assert np.array_equal(bits[:, 0], result.true_bits)
+        refs = _references(cfg, bits)
         for name in cfg.detectors:
-            adapter = _ADAPTERS[name](cfg, rho)
+            chosen = []
+            detector = _detector(name, cfg, rho, zip(windows, refs), chosen)
             for i in range(cfg.num_symbols):
-                decided = adapter.step(windows[i], int(bits[i, 0]), i < cfg.tr_symbols)
-                assert decided == result.decisions[name][i], (name, i)
+                assert next(detector) == result.decisions[name][i], (name, i)
+            if name == "jio_mber_auto":
+                assert chosen == result.selected_ranks[name].tolist()
+            else:
+                assert chosen == []
 
     def test_scalar_snr_required(self):
         cfg = dataclasses.replace(FAST, snr_db=(5.0, 10.0))
@@ -240,21 +255,47 @@ class TestRunTrial:
             run_trial(cfg, 0)
 
     def test_diverging_lms_fails_loudly(self):
-        """An overflowing filter raises, naming the detector and symbol,
-        instead of turning NaN outputs into -1 decisions."""
+        """An overflowing filter raises, naming the detector, the first
+        symbol whose output is non-finite and the trial seed, instead of
+        turning NaN outputs into -1 decisions."""
         cfg = dataclasses.replace(
-            FAST, dd_symbols=400, mu_lms=10.0, detectors=("full_rank_lms",)
+            ExperimentConfig(),
+            tr_symbols=50,
+            dd_symbols=400,
+            mu_lms=10.0,
+            detectors=("full_rank_lms",),
         )
+        seed = 0
+        sigma = noise_sigma(cfg, cfg.snr_db)
+        windows, bits = synthesize_arrays(
+            _build_users(cfg, seed), cfg.num_symbols, sigma, seed
+        )
+        # plain LMS reference: the first symbol whose output is non-finite
+        w = np.zeros(cfg.M, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match=r"full_rank_lms at symbol \d+"):
-                run_trial(cfg, 0)
+            for first, r in enumerate(windows):
+                y = np.vdot(w, r)
+                if not np.isfinite(y.real):
+                    break
+                if first < cfg.tr_symbols:
+                    b = bits[first, 0]
+                else:
+                    b = 1 if y.real >= 0 else -1
+                w = w + cfg.mu_lms * np.conj(b - y) * r
+            else:
+                pytest.fail("reference LMS stayed finite")
+            with pytest.raises(
+                NumericalError,
+                match=rf"^full_rank_lms at symbol {first} of trial seed {seed}: ",
+            ):
+                run_trial(cfg, seed)
+        assert first == 214
 
 
-def _two_pass_auto_step(adapter, r, true_bit, training):
-    """The auto adapter's step with ``S^H r`` computed twice: once for the
+def _two_pass_auto_step(state, ranks, averaging, avg, r, true_bit, training):
+    """The auto detector's step with ``S^H r`` computed twice: once for the
     truncated (prefix-sum) statistics and again in the first adaptation
-    cycle."""
-    state, ranks = adapter.state, adapter.ranks
+    cycle.  Returns the decision, the chosen rank and the averaged metric."""
     lo = ranks.d_min - 1
     x = np.cumsum(state.w.conj() * (state.S.conj().T @ r))
     sw = np.cumsum(state.S * state.w[None, :], axis=1)
@@ -267,17 +308,15 @@ def _two_pass_auto_step(adapter, r, true_bit, training):
     else:
         reference = 1 if x.real[state.w.shape[0] - 1] >= 0.0 else -1
     stat = np.where(valid, reference * xr / np.sqrt(np.where(valid, nn, 1.0)), 0.0)
-    if adapter.averaging > 0.0:
+    if averaging > 0.0:
         p = q_function(stat / state.rho)
-        lam = adapter.averaging
-        adapter._avg = p if adapter._avg is None else lam * adapter._avg + (1 - lam) * p
-        pick = int(np.argmin(adapter._avg))
+        avg = p if avg is None else averaging * avg + (1 - averaging) * p
+        pick = int(np.argmin(avg))
     else:
         pick = int(np.argmax(stat))
-    adapter.last_rank = ranks.d_min + pick
     decided = 1 if xr[pick] >= 0.0 else -1
     _adapt(state, r, true_bit if training else decided)
-    return decided
+    return decided, ranks.d_min + pick, avg
 
 
 class TestAutoAdapterReusedProjection:
@@ -285,8 +324,8 @@ class TestAutoAdapterReusedProjection:
     @pytest.mark.parametrize("averaging", [0.0, 0.5])
     def test_bit_identical_to_two_pass_step(self, j, averaging):
         """Handing the statistics' S^H r to the first cycle changes nothing:
-        S, w, rank and decision agree bit for bit at every symbol, through
-        training and then decision-directed operation."""
+        S, w, the scaling flag, rank and decision agree bit for bit at every
+        symbol, through training and then decision-directed operation."""
         cfg = dataclasses.replace(
             ExperimentConfig(),
             J=j,
@@ -300,16 +339,24 @@ class TestAutoAdapterReusedProjection:
         windows, bits = synthesize_arrays(
             _build_users(cfg, seed), cfg.num_symbols, sigma, seed
         )
-        reused = _ADAPTERS["jio_mber_auto"](cfg, rho)
-        two_pass = copy.deepcopy(reused)
+        state = init_state(cfg.M, cfg.D_max, cfg.mu_w, cfg.mu_S, cfg.J, rho)
+        ranks = RankSelectionConfig(cfg.D_min, cfg.D_max)
+        two_pass = copy.deepcopy(state)
+        refs = _references(cfg, bits)
+        chosen = []
+        reused = _jio_auto(state, ranks, averaging, zip(windows, refs), chosen)
+        avg = None
         for i in range(cfg.num_symbols):
-            training = i < cfg.tr_symbols
-            true_bit = int(bits[i, 0])
-            decided = reused.step(windows[i], true_bit, training)
-            assert decided == _two_pass_auto_step(two_pass, windows[i], true_bit, training), i
-            assert reused.last_rank == two_pass.last_rank, i
-            assert np.array_equal(reused.state.S, two_pass.state.S), i
-            assert np.array_equal(reused.state.w, two_pass.state.w), i
+            decided = next(reused)
+            expected, rank, avg = _two_pass_auto_step(
+                two_pass, ranks, averaging, avg,
+                windows[i], int(bits[i, 0]), i < cfg.tr_symbols,
+            )
+            assert decided == expected, i
+            assert chosen[i] == rank, i
+            assert np.array_equal(state.S, two_pass.S), i
+            assert np.array_equal(state.w, two_pass.w), i
+            assert state.scaling_skipped == two_pass.scaling_skipped, i
 
 
 def _two_vdot_lms_update(state, r, b):
@@ -362,17 +409,24 @@ class TestFullRankAdaptersReuseOutput:
         windows, bits = synthesize_arrays(
             _build_users(cfg, seed), cfg.num_symbols, sigma, seed
         )
-        adapter = _ADAPTERS[name](cfg, rho)
-        two_vdot = copy.deepcopy(adapter.state)
+        if name == "full_rank_lms":
+            state = init_full_rank(cfg.M, cfg.mu_lms)
+            rule = harness.lms_update
+        else:
+            state = init_full_rank(cfg.M, cfg.mu_fr_mber, rho)
+            rule = harness.mber_full_rank_update
+        two_vdot = copy.deepcopy(state)
+        refs = _references(cfg, bits)
+        detector = _full_rank(rule, state, zip(windows, refs))
         for i in range(cfg.num_symbols):
             training = i < cfg.tr_symbols
             true_bit = int(bits[i, 0])
-            decided = adapter.step(windows[i], true_bit, training)
+            decided = next(detector)
             two_vdot_decided = 1 if np.vdot(two_vdot.w, windows[i]).real >= 0.0 else -1
             update(two_vdot, windows[i], true_bit if training else two_vdot_decided)
             assert decided == two_vdot_decided, i
-            assert np.array_equal(adapter.state.w, two_vdot.w), i
-            assert adapter.state.scaling_skipped == two_vdot.scaling_skipped, i
+            assert np.array_equal(state.w, two_vdot.w), i
+            assert state.scaling_skipped == two_vdot.scaling_skipped, i
 
 
 class TestLmsHealth:
@@ -639,7 +693,7 @@ class TestEmitCsv:
         assert meta["base_seed"] == FAST.base_seed
         assert meta["version"].startswith("mberlink-")
         stages = meta["stage_s"]
-        assert set(stages) == {"synthesis", "detection"}
+        assert set(stages) == {"synthesis", *FAST.detectors}
         assert all(seconds > 0 for seconds in stages.values())
         assert sum(stages.values()) <= meta["wall_time_s"]
         counts = meta["rank_counts"]["jio_mber_auto"]
@@ -650,7 +704,10 @@ class TestEmitCsv:
         swept = sweep(dataclasses.replace(FAST, num_trials=1), axis="rank")
         emit_csv(swept, tmp_path / "sweep.csv")
         meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
-        assert set(meta["stage_s"]) == {"synthesis", "detection"}
+        stages = meta["stage_s"]
+        assert set(stages) == {"synthesis", "jio_mber_fixed"}
+        assert all(seconds > 0 for seconds in stages.values())
+        assert sum(stages.values()) <= meta["wall_time_s"]
         assert "rank_counts" not in meta
 
     def test_byte_identical_for_same_config_and_seed(self, tmp_path):
@@ -683,3 +740,12 @@ class TestSmoothing:
         # even window: output i averages trace[i - 2 : i + 2]
         expected = [0.5, 1.0, 1.5, 2.5, 3.0]
         np.testing.assert_allclose(smooth_trace(np.arange(5.0), 4), expected)
+
+    @pytest.mark.parametrize("n, window", [(3, 10), (3, 4), (1, 2), (5, 6)])
+    def test_window_longer_than_trace_keeps_its_length(self, n, window):
+        trace = np.arange(float(n))
+        expected = [
+            trace[max(0, i - window // 2) : i + (window + 1) // 2].mean()
+            for i in range(n)
+        ]
+        np.testing.assert_allclose(smooth_trace(trace, window), expected, rtol=1e-15)
