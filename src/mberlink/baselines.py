@@ -1,11 +1,10 @@
 """Runnable full-rank reference detectors: LMS (MSE) and MBER SG."""
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detector_core import _NORM_EPS, _mber_factor
+from .detector_core import _mber_factor, _unit_norm
 from .errors import ConfigurationError
 
 
@@ -49,8 +48,9 @@ def mber_full_rank_update(
 
     This is the reduced-rank filter recursion specialized to an identity
     projection at full rank, followed by scaling to ||w|| = 1 (skipped,
-    and flagged, while the filter is still the all-zero init).  ``wr`` is
-    the output ``w^H r`` if the caller already formed it, as in
+    and flagged, while the filter is still the all-zero init); a
+    non-finite norm raises :class:`~mberlink.errors.NumericalError`.
+    ``wr`` is the output ``w^H r`` if the caller already formed it, as in
     :func:`lms_update`.
     """
     if state.rho is None or not state.rho > 0:
@@ -61,11 +61,5 @@ def mber_full_rank_update(
     xr = wr.real
     c = _mber_factor(xr, b, state.rho)
     w_next = w + (state.mu * c) * (r - xr * w)
-    norm_sq = np.vdot(w_next, w_next).real
-    if norm_sq < _NORM_EPS:
-        state.scaling_skipped = True
-        state.w = w_next
-        return state
-    state.w = w_next / math.sqrt(norm_sq)
-    state.scaling_skipped = False
+    state.w, state.scaling_skipped = _unit_norm(w_next, w_next)
     return state

@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="BER versus a swept parameter")
     add_common(sweep_p)
     sweep_p.add_argument(
-        "--axis", choices=("snr", "users", "rank"), required=True, help="sweep axis"
+        "--axis", choices=tuple(harness._SWEEP_AXES), required=True, help="sweep axis"
     )
 
     cx_p = sub.add_parser("complexity", help="per-symbol operation-count table")

@@ -86,6 +86,20 @@ def _mber_factor(xr, b, rho, n=1.0):
     return e * float(b) / (2.0 * _SQRT_2PI * rho)
 
 
+def _unit_norm(w, sw):
+    """``(w / ||sw||, False)``, or ``(w, True)`` when ``||sw||^2`` is ~0.
+
+    ``sw`` is ``S w`` for a reduced-rank filter and ``w`` itself at full
+    rank.  A non-finite norm raises :class:`~mberlink.errors.NumericalError`.
+    """
+    norm_sq = np.vdot(sw, sw).real
+    if not math.isfinite(norm_sq):
+        raise NumericalError(f"filter norm is {norm_sq}")
+    if norm_sq < _NORM_EPS:
+        return w, True
+    return w / math.sqrt(norm_sq), False
+
+
 def _common_terms(projection: np.ndarray, w: np.ndarray, r: np.ndarray):
     z = projection.conj().T @ r
     sw = projection @ w

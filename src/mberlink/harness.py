@@ -20,6 +20,8 @@ radius would collapse to zero).
 import dataclasses
 import functools
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -48,6 +50,13 @@ DETECTOR_NAMES = (
 
 _GOLD_DEGREES = {31: 5, 127: 7}
 
+# sweep axis -> (config key holding its grid, config key each grid point sets)
+_SWEEP_AXES = {
+    "snr": ("snr_sweep", "snr_db"),
+    "users": ("users_sweep", "K"),
+    "rank": ("rank_sweep", "D"),
+}
+
 # steady-state window (symbols) used for "final BER" figures and stderr
 FINAL_WINDOW = 500
 
@@ -59,7 +68,7 @@ class ExperimentConfig:
     N: int = 31
     K: int = 5
     Lp: int = 3
-    snr_db: float | tuple[float, ...] = 15.0
+    snr_db: float = 15.0
     D: int = 8
     D_min: int = 3
     D_max: int = 20
@@ -77,8 +86,10 @@ class ExperimentConfig:
     num_trials: int = 200
     base_seed: int = 1234
     detectors: tuple[str, ...] = DETECTOR_NAMES
-    users_sweep: tuple[int, ...] | None = None
-    rank_sweep: tuple[int, ...] | None = None
+    # the grid each sweep axis runs (see _SWEEP_AXES)
+    snr_sweep: tuple[float, ...] = (0.0, 2.5, 5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0)
+    users_sweep: tuple[int, ...] = tuple(range(1, 17))
+    rank_sweep: tuple[int, ...] = (2, 4, 6, 8, 10, 12, 16, 20)
     rank_averaging: float = 0.0
     smoothing_window: int = 0
 
@@ -126,9 +137,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("dd_symbols", "dd_symbols must be >= 0")
     if cfg.doppler < 0:
         bad("doppler", "doppler must be >= 0")
-    snr_values = cfg.snr_db if isinstance(cfg.snr_db, tuple) else (cfg.snr_db,)
-    if len(snr_values) == 0 or any(np.isnan(v) for v in snr_values):
-        bad("snr_db", "snr_db must be a number or non-empty list")
+    if not isinstance(cfg.snr_db, numbers.Real) or math.isnan(cfg.snr_db):
+        bad("snr_db", "snr_db must be one number; an SNR grid goes in snr_sweep")
     if cfg.amplitudes is not None:
         if len(cfg.amplitudes) != cfg.K:
             bad("amplitudes", f"need {cfg.K} amplitudes, got {len(cfg.amplitudes)}")
@@ -141,13 +151,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for det in cfg.detectors:
         if det not in DETECTOR_NAMES:
             bad("detectors", f"unknown detector {det!r}; known: {DETECTOR_NAMES}")
-    if cfg.users_sweep is not None and any(
-        not 1 <= k <= family_size for k in cfg.users_sweep
-    ):
+    for grid_key, _ in _SWEEP_AXES.values():
+        if not getattr(cfg, grid_key):
+            bad(grid_key, f"{grid_key} is an empty grid; list at least one point")
+    if any(math.isnan(v) for v in cfg.snr_sweep):
+        bad("snr_sweep", "SNRs in snr_sweep must be numbers, not NaN")
+    if any(not 1 <= k <= family_size for k in cfg.users_sweep):
         bad("users_sweep", f"user counts must lie in [1, {family_size}]")
-    if cfg.rank_sweep is not None and any(
-        not 1 <= d <= cfg.M for d in cfg.rank_sweep
-    ):
+    if any(not 1 <= d <= cfg.M for d in cfg.rank_sweep):
         bad("rank_sweep", f"ranks must lie in [1, M={cfg.M}]")
     if not 0.0 <= cfg.rank_averaging < 1.0:
         bad("rank_averaging", "rank_averaging must be in [0, 1)")
@@ -168,12 +179,6 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
-def _parse_snr(text: str):
-    if "," in text:
-        return _parse_float_tuple(text)
-    return float(text)
-
-
 def _parse_detectors(text: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
@@ -182,7 +187,7 @@ _FIELD_PARSERS = {
     "N": int,
     "K": int,
     "Lp": int,
-    "snr_db": _parse_snr,
+    "snr_db": float,
     "D": int,
     "D_min": int,
     "D_max": int,
@@ -200,6 +205,7 @@ _FIELD_PARSERS = {
     "num_trials": int,
     "base_seed": int,
     "detectors": _parse_detectors,
+    "snr_sweep": _parse_float_tuple,
     "users_sweep": _parse_int_tuple,
     "rank_sweep": _parse_int_tuple,
     "rank_averaging": float,
@@ -405,10 +411,6 @@ def _lms_health(windows: np.ndarray, mu: float) -> dict:
 def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
     """One seeded trial over tr_symbols training + dd_symbols DD symbols."""
     validate_config(cfg)
-    if isinstance(cfg.snr_db, tuple):
-        raise ConfigurationError(
-            "run_trial needs a scalar snr_db; use sweep() for lists", field="snr_db"
-        )
     sigma = noise_sigma(cfg, cfg.snr_db)
     rho = kernel_radius(cfg, sigma)
     start = time.perf_counter()
@@ -505,10 +507,6 @@ def run_monte_carlo(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     any job count.
     """
     validate_config(cfg)
-    if isinstance(cfg.snr_db, tuple):
-        raise ConfigurationError(
-            "a list of snr_db values needs sweep --axis snr", field="snr_db"
-        )
     if jobs < 1:
         raise ConfigurationError(f"need jobs >= 1, got {jobs}", field="jobs")
     start = time.perf_counter()
@@ -586,45 +584,26 @@ def _sum_health(trials) -> dict:
     }
 
 
-_SWEEP_AXES = ("snr", "users", "rank")
-
-
 def sweep(cfg: ExperimentConfig, axis: str, jobs: int = 1) -> SweepResult:
     """One Monte Carlo run per grid point along ``snr``, ``users`` or ``rank``.
 
-    Every point reuses the same trial seeds (``base_seed + t``), so sweep
-    points are paired by common random numbers: trial t sees the same
-    fading/bit realizations at every grid point, which makes trends far
-    less noisy than independent points would be.  The rank axis only
-    involves the fixed-rank detector (the others do not depend on D).
+    The grid is read from ``snr_sweep``, ``users_sweep`` or ``rank_sweep``
+    and each point sets ``snr_db``, ``K`` or ``D`` (``_SWEEP_AXES``); the
+    rank axis runs the fixed-rank detector alone (the others do not
+    depend on D).  Every point reuses the same trial seeds (``base_seed +
+    t``), so points are paired by common random numbers: trial t sees the
+    same fading/bit realizations at every grid point, which makes trends
+    far less noisy than independent points would be.  Every point's
+    config is built and validated before the first one runs.
     """
     validate_config(cfg)
     if axis not in _SWEEP_AXES:
-        raise ConfigurationError(f"axis must be one of {_SWEEP_AXES}, got {axis!r}")
-    if axis != "snr" and isinstance(cfg.snr_db, tuple):
-        raise ConfigurationError(
-            f"a list of snr_db values needs axis 'snr', not {axis!r}", field="snr_db"
-        )
+        raise ConfigurationError(f"axis must be one of {tuple(_SWEEP_AXES)}, got {axis!r}")
+    grid_key, point_key = _SWEEP_AXES[axis]
+    fixed_only = {"detectors": ("jio_mber_fixed",)} if axis == "rank" else {}
     start = time.perf_counter()
-    if axis == "snr":
-        points = (
-            cfg.snr_db
-            if isinstance(cfg.snr_db, tuple)
-            else tuple(float(v) for v in np.arange(0.0, 20.0 + 1e-9, 2.5))
-        )
-        make = lambda p: {"snr_db": float(p)}
-    elif axis == "users":
-        points = cfg.users_sweep or tuple(range(1, 17))
-        make = lambda p: {"K": int(p)}
-    else:
-        base = cfg.rank_sweep or (2, 4, 6, 8, 10, 12, 16, 20)
-        points = tuple(d for d in base if 1 <= d <= cfg.M)
-        make = lambda p: {"D": int(p), "detectors": ("jio_mber_fixed",)}
-    if not points:
-        raise ConfigurationError(f"empty sweep grid for axis {axis!r}")
-
-    # every point is built and validated before the first one runs
-    point_cfgs = [dataclasses.replace(cfg, **make(p)) for p in points]
+    points = getattr(cfg, grid_key)
+    point_cfgs = [dataclasses.replace(cfg, **{point_key: p}, **fixed_only) for p in points]
     for point_cfg in point_cfgs:
         validate_config(point_cfg)
     rows = []

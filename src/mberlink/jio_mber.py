@@ -25,13 +25,12 @@ single-sample error-probability estimate is smallest.
 """
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detector_core import _NORM_EPS, _decide, _mber_factor
-from .errors import ConfigurationError, NumericalError
+from .detector_core import _NORM_EPS, _decide, _mber_factor, _unit_norm
+from .errors import ConfigurationError
 
 
 class Mode(enum.Enum):
@@ -117,17 +116,6 @@ def _cycle(S, w, r, b, rho, mu_w, mu_S, rc=None, SH=None, z=None, xr=None):
     return S_next, w_next
 
 
-def _unit_norm(S, w):
-    """``(w / ||S w||, False)``, or ``(w, True)`` when ``||S w||^2`` is ~0."""
-    sw = S @ w
-    norm_sq = np.vdot(sw, sw).real
-    if not math.isfinite(norm_sq):
-        raise NumericalError(f"filter norm through the projection is {norm_sq}")
-    if norm_sq < _NORM_EPS:
-        return w, True
-    return w / math.sqrt(norm_sq), False
-
-
 def update_filter(state: JioState, r: np.ndarray, b: int) -> np.ndarray:
     """One filter recursion; returns the new w, state untouched."""
     return _cycle(state.S, state.w, r, b, state.rho, state.mu_w, state.mu_S)[1]
@@ -138,7 +126,7 @@ def scale_filter(state: JioState) -> JioState:
 
     A non-finite norm raises :class:`~mberlink.errors.NumericalError`.
     """
-    state.w, state.scaling_skipped = _unit_norm(state.S, state.w)
+    state.w, state.scaling_skipped = _unit_norm(state.w, state.S @ state.w)
     return state
 
 
@@ -155,7 +143,7 @@ def _adapt(state: JioState, r: np.ndarray, b: int, SH=None, z=None, xr=None) -> 
     rc = r[:, None]
     for _ in range(state.J):
         S, w_next = _cycle(S, w, r, b, rho, mu_w, mu_S, rc, SH, z, xr)
-        w, skipped = _unit_norm(S, w_next)
+        w, skipped = _unit_norm(w_next, S @ w_next)
         SH = z = xr = None
     state.S, state.w, state.scaling_skipped = S, w, skipped
 

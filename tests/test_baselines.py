@@ -139,3 +139,16 @@ class TestMberFullRank:
 
         with pytest.raises(ConfigurationError):
             mber_full_rank_update(state, np.ones(4, dtype=complex), 1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_input_raises(self):
+        """One infinite chip must fail loudly, not turn w into NaN."""
+        from mberlink.errors import NumericalError
+
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        state = FullRankState(w=w / np.linalg.norm(w), mu=0.05, rho=0.5)
+        r = np.ones(4, dtype=complex)
+        r[2] = np.inf
+        with pytest.raises(NumericalError):
+            mber_full_rank_update(state, r, 1)

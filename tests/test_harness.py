@@ -71,13 +71,13 @@ class TestParseConfig:
         path.write_text(
             "# experiment\n"
             "K = 3  # users\n"
-            "snr_db = 5, 10, 15\n"
+            "snr_sweep = 5, 10, 15\n"
             "detectors = full_rank_lms\n"
             "\n"
         )
         cfg = parse_config(path)
         assert cfg.K == 3
-        assert cfg.snr_db == (5.0, 10.0, 15.0)
+        assert cfg.snr_sweep == (5.0, 10.0, 15.0)
         assert cfg.detectors == ("full_rank_lms",)
 
     def test_invariant_violation_names_line(self, tmp_path):
@@ -109,6 +109,15 @@ class TestParseConfig:
             parse_config(path)
         assert err.value.line == 2
 
+    def test_empty_grid_rejected(self, tmp_path):
+        """An empty grid fails instead of running a default grid."""
+        path = tmp_path / "bad.cfg"
+        path.write_text("users_sweep = ,\n")
+        with pytest.raises(ConfigParseError) as err:
+            parse_config(path)
+        assert err.value.line == 1
+        assert "users_sweep is an empty grid" in str(err.value)
+
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("mu_w = fast\n")
@@ -118,7 +127,7 @@ class TestParseConfig:
     def test_round_trip(self, tmp_path):
         cfg = dataclasses.replace(
             FAST,
-            snr_db=(5.0, 10.0),
+            snr_sweep=(5.0, 10.0),
             amplitudes=(1.0, 0.5),
             detectors=("jio_mber_fixed", "full_rank_lms"),
             rank_sweep=(2, 4, 6),
@@ -475,7 +484,7 @@ class TestLmsHealth:
         assert meta["health"] == mc.health
 
         swept = sweep(
-            dataclasses.replace(cfg, num_trials=1, snr_db=(15.0,)), axis="snr"
+            dataclasses.replace(cfg, num_trials=1, snr_sweep=(15.0,)), axis="snr"
         )
         assert set(swept.health) == {"15"}
         emit_csv(swept, tmp_path / "sweep.csv")
@@ -567,7 +576,7 @@ class TestRunMonteCarlo:
 
 class TestSweep:
     def test_singleton_snr_sweep(self):
-        cfg = dataclasses.replace(FAST, snr_db=(10.0,))
+        cfg = dataclasses.replace(FAST, snr_sweep=(10.0,))
         result = sweep(cfg, axis="snr")
         assert len(result.rows) == len(cfg.detectors)
         assert {row.detector for row in result.rows} == set(cfg.detectors)
@@ -675,7 +684,7 @@ class TestEmitCsv:
             )
 
     def test_sweep_csv_columns(self, tmp_path):
-        cfg = dataclasses.replace(FAST, snr_db=(8.0,), num_trials=2)
+        cfg = dataclasses.replace(FAST, snr_sweep=(8.0,), num_trials=2)
         result = sweep(cfg, axis="snr")
         path = tmp_path / "sweep.csv"
         emit_csv(result, path)
@@ -709,6 +718,10 @@ class TestEmitCsv:
         assert all(seconds > 0 for seconds in stages.values())
         assert sum(stages.values()) <= meta["wall_time_s"]
         assert "rank_counts" not in meta
+        # the sidecar echoes the grid the sweep ran
+        grid = [2, 4, 6, 8, 10, 12, 16, 20]
+        assert meta["config"]["rank_sweep"] == grid
+        assert [row.axis_value for row in swept.rows] == grid
 
     def test_byte_identical_for_same_config_and_seed(self, tmp_path):
         path_a = tmp_path / "a.csv"
