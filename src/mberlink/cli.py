@@ -68,7 +68,7 @@ def _load_config(args) -> harness.ExperimentConfig:
     if args.trials is not None:
         overrides["num_trials"] = args.trials
     if args.detectors is not None:
-        overrides["detectors"] = harness._parse_detectors(args.detectors)
+        overrides["detectors"] = harness._FIELD_PARSERS["detectors"](args.detectors)
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
         harness.validate_config(cfg)

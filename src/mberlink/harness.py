@@ -23,6 +23,7 @@ import json
 import math
 import numbers
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,8 +103,17 @@ class ExperimentConfig:
         return self.tr_symbols + self.dd_symbols
 
 
+def _noise_computable(cfg: ExperimentConfig, snr_db: float) -> bool:
+    """Whether :func:`noise_sigma` is finite at ``snr_db`` (0 at inf: noiseless)."""
+    try:
+        return math.isfinite(noise_sigma(cfg, snr_db))
+    except (OverflowError, ZeroDivisionError):  # 10^(snr_db/20) beyond a float
+        return False
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Raise ConfigurationError (with the offending field) on any violation."""
+    """Raise ConfigurationError (with the offending field) on any violation,
+    such as a non-finite number (bar ``snr_db = inf``) or a negative base_seed."""
 
     def bad(field_name, message):
         raise ConfigurationError(message, field=field_name)
@@ -120,6 +130,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
             "power_profile_db",
             f"power profile has {len(cfg.power_profile_db)} entries, expected Lp={cfg.Lp}",
         )
+    # tap 0 is the reference; a later tap of -inf dB is a path with no power
+    profile = cfg.power_profile_db
+    if not (math.isfinite(profile[0]) and all(p < math.inf for p in profile)):
+        bad("power_profile_db", "power_profile_db must be below inf dB, with tap 0 finite")
     if not 1 <= cfg.D <= cfg.M:
         bad("D", f"need 1 <= D <= M={cfg.M}, got {cfg.D}")
     if not 1 <= cfg.D_min <= cfg.D_max <= cfg.M:
@@ -127,25 +141,31 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.J < 1:
         bad("J", f"need J >= 1, got {cfg.J}")
     for name in ("mu_w", "mu_S", "mu_lms", "mu_fr_mber"):
-        if getattr(cfg, name) < 0:
-            bad(name, f"{name} must be >= 0")
-    if not cfg.rho_multiplier > 0:
-        bad("rho_multiplier", "rho_multiplier must be > 0")
+        if not 0 <= getattr(cfg, name) < math.inf:
+            bad(name, f"{name} must be a finite number >= 0")
+    if not 0 < cfg.rho_multiplier < math.inf:
+        bad("rho_multiplier", "rho_multiplier must be a finite number > 0")
     if cfg.tr_symbols < 1:
         bad("tr_symbols", "need at least one training symbol")
     if cfg.dd_symbols < 0:
         bad("dd_symbols", "dd_symbols must be >= 0")
-    if cfg.doppler < 0:
-        bad("doppler", "doppler must be >= 0")
-    if not isinstance(cfg.snr_db, numbers.Real) or math.isnan(cfg.snr_db):
-        bad("snr_db", "snr_db must be one number; an SNR grid goes in snr_sweep")
+    if not 0 <= cfg.doppler < math.inf:
+        bad("doppler", "doppler must be a finite number >= 0")
     if cfg.amplitudes is not None:
         if len(cfg.amplitudes) != cfg.K:
             bad("amplitudes", f"need {cfg.K} amplitudes, got {len(cfg.amplitudes)}")
-        if any(a <= 0 for a in cfg.amplitudes):
-            bad("amplitudes", "amplitudes must be positive")
+        if not all(0 < a < math.inf for a in cfg.amplitudes):
+            bad("amplitudes", "amplitudes must be finite and positive")
+    if not isinstance(cfg.snr_db, numbers.Real):
+        bad("snr_db", "snr_db must be one number; an SNR grid goes in snr_sweep")
+    if math.isnan(cfg.snr_db):
+        bad("snr_db", "snr_db must be a number, not NaN")
+    if not _noise_computable(cfg, cfg.snr_db):
+        bad("snr_db", f"no noise level at snr_db = {cfg.snr_db}; inf means noiseless")
     if cfg.num_trials < 1:
         bad("num_trials", "num_trials must be >= 1")
+    if cfg.base_seed < 0:
+        bad("base_seed", "base_seed must be >= 0")
     if not cfg.detectors:
         bad("detectors", "need at least one detector")
     for det in cfg.detectors:
@@ -154,8 +174,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for grid_key, _ in _SWEEP_AXES.values():
         if not getattr(cfg, grid_key):
             bad(grid_key, f"{grid_key} is an empty grid; list at least one point")
-    if any(math.isnan(v) for v in cfg.snr_sweep):
-        bad("snr_sweep", "SNRs in snr_sweep must be numbers, not NaN")
+    if not all(_noise_computable(cfg, v) for v in cfg.snr_sweep):
+        bad("snr_sweep", "SNRs in snr_sweep must be numbers (not NaN) with a noise level")
     if any(not 1 <= k <= family_size for k in cfg.users_sweep):
         bad("users_sweep", f"user counts must lie in [1, {family_size}]")
     if any(not 1 <= d <= cfg.M for d in cfg.rank_sweep):
@@ -167,59 +187,32 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# configuration file parsing / emission
+# configuration file parsing
 # ---------------------------------------------------------------------------
 
 
-def _parse_float_tuple(text: str) -> tuple[float, ...]:
-    return tuple(float(tok.strip()) for tok in text.split(",") if tok.strip())
+def _field_parser(kind):
+    """``int`` and ``float`` parse as themselves; ``tuple[item, ...]``, or
+    that ``| None``, as a comma list of ``item`` that skips blank entries."""
+    if kind in (int, float):
+        return kind
+    if typing.get_origin(kind) is not tuple:
+        kind = typing.get_args(kind)[0]
+    item = typing.get_args(kind)[0]
+    return lambda text: tuple(item(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
-
-
-def _parse_detectors(text: str) -> tuple[str, ...]:
-    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
-
-
-_FIELD_PARSERS = {
-    "N": int,
-    "K": int,
-    "Lp": int,
-    "snr_db": float,
-    "D": int,
-    "D_min": int,
-    "D_max": int,
-    "J": int,
-    "mu_w": float,
-    "mu_S": float,
-    "mu_lms": float,
-    "mu_fr_mber": float,
-    "rho_multiplier": float,
-    "tr_symbols": int,
-    "dd_symbols": int,
-    "doppler": float,
-    "power_profile_db": _parse_float_tuple,
-    "amplitudes": _parse_float_tuple,
-    "num_trials": int,
-    "base_seed": int,
-    "detectors": _parse_detectors,
-    "snr_sweep": _parse_float_tuple,
-    "users_sweep": _parse_int_tuple,
-    "rank_sweep": _parse_int_tuple,
-    "rank_averaging": float,
-    "smoothing_window": int,
-}
+_FIELD_PARSERS = {f.name: _field_parser(f.type) for f in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config(path) -> ExperimentConfig:
     """Read a flat ``key = value`` config file (UTF-8, ``#`` comments).
 
-    Unknown keys, malformed lines, duplicate keys and invariant
-    violations raise :class:`ConfigParseError` naming the line.
-    Missing keys keep their defaults; an empty file yields the full
-    default configuration.
+    A value is written as its :class:`ExperimentConfig` annotation reads:
+    one number, or a comma list for a tuple key.  Unknown keys, malformed
+    lines, duplicate keys and invariant violations raise
+    :class:`ConfigParseError` naming the line.  Missing keys keep their
+    defaults; an empty file yields the full default configuration.
     """
     path = str(path)
     values = {}
@@ -254,21 +247,6 @@ def parse_config(path) -> ExperimentConfig:
         line = key_lines.get(exc.field, 0)
         raise ConfigParseError(path, line, str(exc)) from exc
     return cfg
-
-
-def format_config(cfg: ExperimentConfig) -> str:
-    """Serialize a config in the flat file format (parse round-trips)."""
-    lines = []
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        if isinstance(value, tuple):
-            text = ",".join(str(v) for v in value)
-        else:
-            text = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{f.name} = {text}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -658,14 +636,6 @@ def _fmt(value: float) -> str:
     return "%.6g" % value
 
 
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    out = {}
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
 def _write_sidecar(path: str, kind: str, result) -> None:
     meta = {
         "kind": kind,
@@ -673,7 +643,7 @@ def _write_sidecar(path: str, kind: str, result) -> None:
         "wall_time_s": result.wall_time_s,
         "stage_s": result.stage_s,
         "health": result.health,
-        "config": _config_dict(result.config),
+        "config": dataclasses.asdict(result.config),
     }
     if kind == "trace":
         meta["base_seed"] = result.config.base_seed

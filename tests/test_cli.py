@@ -121,6 +121,16 @@ def test_snr_list_off_the_snr_axis_exit_code(fast_config, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_negative_seed_exit_code(fast_config, tmp_path, capsys, jobs):
+    out = tmp_path / "x.csv"
+    args = ["run", "--config", str(fast_config), "--out", str(out), "--seed", "-1"]
+    code = main(args + ["--jobs", jobs])
+    assert code == 2
+    assert "base_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_io_error_exit_code(fast_config, tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     code = main(["run", "--config", str(fast_config), "--out", str(missing_dir)])

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from mberlink.harness import (
     _full_rank,
     _jio_auto,
     emit_csv,
-    format_config,
     kernel_radius,
     noise_sigma,
     parse_config,
@@ -124,17 +124,136 @@ class TestParseConfig:
         with pytest.raises(ConfigParseError):
             parse_config(path)
 
-    def test_round_trip(self, tmp_path):
-        cfg = dataclasses.replace(
-            FAST,
-            snr_sweep=(5.0, 10.0),
-            amplitudes=(1.0, 0.5),
-            detectors=("jio_mber_fixed", "full_rank_lms"),
-            rank_sweep=(2, 4, 6),
+    def test_every_key_parses_as_its_annotation(self, tmp_path):
+        """Every key, written as text with a non-default value, parses to
+        its annotated type: int, float and each kind of tuple."""
+        path = tmp_path / "every.cfg"
+        path.write_text(
+            "N = 127\n"
+            "K = 3\n"
+            "Lp = 2\n"
+            "snr_db = 12.5\n"
+            "D = 6\n"
+            "D_min = 2\n"
+            "D_max = 10\n"
+            "J = 2\n"
+            "mu_w = 0.01\n"
+            "mu_S = 0.02\n"
+            "mu_lms = 0.03\n"
+            "mu_fr_mber = 0.04\n"
+            "rho_multiplier = 1.5\n"
+            "tr_symbols = 40\n"
+            "dd_symbols = 60\n"
+            "doppler = 1e-4\n"
+            "power_profile_db = 0, -3\n"
+            "amplitudes = 1, 0.5, 0.25\n"
+            "num_trials = 7\n"
+            "base_seed = 99\n"
+            "detectors = jio_mber_fixed, full_rank_lms\n"
+            "snr_sweep = 5, 10\n"
+            "users_sweep = 2, 4,\n"
+            "rank_sweep = 3,, 5\n"
+            "rank_averaging = 0.3\n"
+            "smoothing_window = 5\n"
         )
-        path = tmp_path / "roundtrip.cfg"
-        path.write_text(format_config(cfg), encoding="utf-8")
-        assert parse_config(path) == cfg
+        expected = ExperimentConfig(
+            N=127,
+            K=3,
+            Lp=2,
+            snr_db=12.5,
+            D=6,
+            D_min=2,
+            D_max=10,
+            J=2,
+            mu_w=0.01,
+            mu_S=0.02,
+            mu_lms=0.03,
+            mu_fr_mber=0.04,
+            rho_multiplier=1.5,
+            tr_symbols=40,
+            dd_symbols=60,
+            doppler=1e-4,
+            power_profile_db=(0.0, -3.0),
+            amplitudes=(1.0, 0.5, 0.25),
+            num_trials=7,
+            base_seed=99,
+            detectors=("jio_mber_fixed", "full_rank_lms"),
+            snr_sweep=(5.0, 10.0),
+            users_sweep=(2, 4),
+            rank_sweep=(3, 5),
+            rank_averaging=0.3,
+            smoothing_window=5,
+        )
+        default = ExperimentConfig()
+        for f in dataclasses.fields(ExperimentConfig):
+            assert getattr(expected, f.name) != getattr(default, f.name), f.name
+        cfg = parse_config(path)
+        assert cfg == expected
+        # repr tells 7 from 7.0, so each value also has its annotated type
+        assert repr(cfg) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "rho_multiplier = inf",
+            "rho_multiplier = nan",
+            "doppler = nan",
+            "doppler = inf",
+            "mu_w = inf",
+            "mu_S = inf",
+            "mu_lms = nan",
+            "mu_fr_mber = inf",
+            "amplitudes = inf, 1, 1, 1, 1",
+            "amplitudes = 1, 1, nan, 1, 1",
+            "power_profile_db = nan, -7, -10",
+            "power_profile_db = 0, -7, nan",
+            "power_profile_db = -inf, -7, -10",
+            "power_profile_db = 0, inf, -10",
+            "snr_db = nan",
+        ],
+    )
+    def test_non_finite_rejected_at_its_line(self, tmp_path, line):
+        """Each of these used to run: into a NaN detector output (exit 3)
+        or, for rho_multiplier = inf, to exit 0 with MBER never adapting."""
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"tr_symbols = 20\n{line}\n")
+        with pytest.raises(ConfigParseError) as err:
+            parse_config(path)
+        assert err.value.line == 2
+        assert line.split()[0] in str(err.value)
+        if line == "snr_db = nan":
+            assert "NaN" in str(err.value) and "snr_sweep" not in str(err.value)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "base_seed = -1",
+            "snr_db = -inf",
+            "snr_db = 7000",
+            "snr_db = -7000",
+            "snr_sweep = 5, -inf",
+            "snr_sweep = 7000",
+            "snr_sweep = 5, nan",
+        ],
+    )
+    def test_negative_seed_and_snr_without_noise_level_rejected(self, tmp_path, line):
+        """numpy's SeedSequence refuses a negative seed, and 10^(snr/20)
+        overflows or reaches 0 at these SNRs; both used to exit 3."""
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"K = 5\n{line}\n")
+        with pytest.raises(ConfigParseError) as err:
+            parse_config(path)
+        assert err.value.line == 2
+        assert line.split()[0] in str(err.value)
+
+    def test_zero_power_tap_and_noiseless_snr_still_valid(self, tmp_path):
+        path = tmp_path / "ok.cfg"
+        path.write_text("power_profile_db = 0, -inf, -10\nsnr_sweep = 10, inf\n")
+        cfg = parse_config(path)
+        assert cfg.power_profile_db == (0.0, -math.inf, -10.0)
+        assert cfg.snr_sweep == (10.0, math.inf)
+        result = run_trial(dataclasses.replace(cfg, tr_symbols=20, dd_symbols=20), 3)
+        assert all(e.shape == (40,) for e in result.errors.values())
 
 
 class TestValidateConfig:
