@@ -37,8 +37,10 @@ from .jio_mber import (
     RankSelectionConfig,
     _adapt,
     _truncated_statistics,
+    init_stack,
     init_state,
     jio_step,
+    stack_step,
 )
 from .signal_model import JakesChannel, UserConfig, generate_gold_family, synthesize_arrays
 
@@ -386,38 +388,47 @@ def _lms_health(windows: np.ndarray, mu: float) -> dict:
     }
 
 
-def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
-    """One seeded trial over tr_symbols training + dd_symbols DD symbols."""
-    validate_config(cfg)
+def _synthesize(cfg: ExperimentConfig, trial_seed: int):
+    """One trial's kernel radius, windows, user 1's true bits, the
+    reference bits its detectors adapt on, and the seconds synthesis took."""
     sigma = noise_sigma(cfg, cfg.snr_db)
     rho = kernel_radius(cfg, sigma)
     start = time.perf_counter()
     users = _build_users(cfg, trial_seed)
-    num_symbols = cfg.num_symbols
-    windows, bits = synthesize_arrays(users, num_symbols, sigma, trial_seed)
+    windows, bits = synthesize_arrays(users, cfg.num_symbols, sigma, trial_seed)
     synthesized = time.perf_counter()
-
     truth = bits[:, 0]
     # the true bit trains; None afterwards makes each detector follow itself
     refs = truth[: cfg.tr_symbols].tolist() + [None] * cfg.dd_symbols
+    return rho, windows, truth, refs, synthesized - start
+
+
+def _collect(name: str, detector, decided: np.ndarray, trial_seed: int) -> float:
+    """Store the detector's decisions for each symbol in ``decided``, row by
+    row; returns the seconds taken.  A NumericalError is re-raised naming
+    ``name``, the symbol and the trial seed."""
+    began = time.perf_counter()
+    try:
+        # the index is the symbol in progress when the detector raises
+        for i in range(len(decided)):
+            decided[i] = next(detector)
+    except NumericalError as exc:
+        raise NumericalError(f"{name} at symbol {i} of trial seed {trial_seed}: {exc}") from exc
+    return time.perf_counter() - began
+
+
+def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
+    """One seeded trial over tr_symbols training + dd_symbols DD symbols."""
+    validate_config(cfg)
+    rho, windows, truth, refs, synthesis_s = _synthesize(cfg, trial_seed)
     decisions = {}
     ranks = {}
-    stage_s = {"synthesis": synthesized - start}
+    stage_s = {"synthesis": synthesis_s}
     for name in cfg.detectors:
-        began = time.perf_counter()
         chosen = []
         detector = _detector(name, cfg, rho, zip(windows, refs), chosen)
-        decided = np.zeros(num_symbols, dtype=np.int8)
-        try:
-            # the index is the symbol in progress when the detector raises
-            for i in range(num_symbols):
-                decided[i] = next(detector)
-        except NumericalError as exc:
-            raise NumericalError(
-                f"{name} at symbol {i} of trial seed {trial_seed}: {exc}"
-            ) from exc
-        stage_s[name] = time.perf_counter() - began
-        decisions[name] = decided
+        decisions[name] = np.zeros(cfg.num_symbols, dtype=np.int8)
+        stage_s[name] = _collect(name, detector, decisions[name], trial_seed)
         if name == "jio_mber_auto":
             ranks[name] = np.array(chosen, dtype=np.int16)
     errors = {name: (dec != truth).astype(np.uint8) for name, dec in decisions.items()}
@@ -432,6 +443,20 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
         stage_s=stage_s,
         health=health,
     )
+
+
+def _rank_trial(cfg: ExperimentConfig, ranks: tuple, trial_seed: int) -> TrialResult:
+    """One rank-sweep trial: the fixed-rank detector at every rank of
+    ``ranks`` on one stream, as one stack.  Results are keyed by grid
+    index, and ``stage_s`` times the whole stack as ``jio_mber_fixed``."""
+    rho, windows, truth, refs, synthesis_s = _synthesize(cfg, trial_seed)
+    stack = init_stack(cfg.M, ranks, cfg.mu_w, cfg.mu_S, cfg.J, rho)
+    decided = np.zeros((cfg.num_symbols, len(ranks)), dtype=np.int8)
+    steps = (stack_step(stack, ranks, r, b) for r, b in zip(windows, refs))
+    fixed_s = _collect("jio_mber_fixed", steps, decided, trial_seed)
+    errors = (decided != truth[:, None]).astype(np.uint8)
+    stage_s = {"synthesis": synthesis_s, "jio_mber_fixed": fixed_s}
+    return TrialResult(dict(enumerate(errors.T)), dict(enumerate(decided.T)), truth, {}, stage_s)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +502,38 @@ class SweepResult:
     health: dict = field(default_factory=dict)
 
 
+def _map_trials(worker, cfg: ExperimentConfig, jobs: int) -> list:
+    """``worker(seed)`` for the seeds base_seed + t, in trial order, in up
+    to ``jobs`` processes (at most one per trial)."""
+    if jobs < 1:
+        raise ConfigurationError(f"need jobs >= 1, got {jobs}", field="jobs")
+    seeds = [cfg.base_seed + t for t in range(cfg.num_trials)]
+    if jobs > 1 and cfg.num_trials > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunk = max(1, cfg.num_trials // (4 * jobs))
+        with ProcessPoolExecutor(max_workers=min(jobs, cfg.num_trials)) as pool:
+            return list(pool.map(worker, seeds, chunksize=chunk))
+    return [worker(seed) for seed in seeds]
+
+
+def _aggregate(trials, keys, num_symbols: int):
+    """Per key of the trials' ``errors``: the BER trace, each trial's
+    final-window BER, their mean and its standard error, as four dicts."""
+    window = min(FINAL_WINDOW, num_symbols)
+    traces, per_trials, means, stderrs = {}, {}, {}, {}
+    for key in keys:
+        stacked = np.stack([t.errors[key] for t in trials])
+        traces[key] = stacked.mean(axis=0)
+        per_trial = stacked[:, num_symbols - window :].mean(axis=1)
+        per_trials[key] = per_trial
+        means[key] = float(per_trial.mean())
+        stderrs[key] = (
+            float(per_trial.std(ddof=1) / np.sqrt(len(per_trial))) if len(per_trial) > 1 else 0.0
+        )
+    return traces, per_trials, means, stderrs
+
+
 def run_monte_carlo(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Average ``cfg.num_trials`` independent trials (seeds base_seed+t).
 
@@ -485,45 +542,17 @@ def run_monte_carlo(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     any job count.
     """
     validate_config(cfg)
-    if jobs < 1:
-        raise ConfigurationError(f"need jobs >= 1, got {jobs}", field="jobs")
     start = time.perf_counter()
-    seeds = [cfg.base_seed + t for t in range(cfg.num_trials)]
-    worker = functools.partial(run_trial, cfg)
-    if jobs > 1 and cfg.num_trials > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, cfg.num_trials // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=min(jobs, cfg.num_trials)) as pool:
-            trials = list(pool.map(worker, seeds, chunksize=chunk))
-    else:
-        trials = [worker(seed) for seed in seeds]
-
-    num_symbols = cfg.num_symbols
-    window = min(FINAL_WINDOW, num_symbols)
-    ber_trace = {}
-    final_ber = {}
-    final_stderr = {}
-    final_trials = {}
+    trials = _map_trials(functools.partial(run_trial, cfg), cfg, jobs)
+    ber_trace, final_trials, final_ber, final_stderr = _aggregate(
+        trials, cfg.detectors, cfg.num_symbols
+    )
     rank_counts = {}
-    for name in cfg.detectors:
-        stacked = np.stack([t.errors[name] for t in trials])
-        ber_trace[name] = stacked.mean(axis=0)
-        per_trial = stacked[:, num_symbols - window :].mean(axis=1)
-        final_trials[name] = per_trial
-        final_ber[name] = float(per_trial.mean())
-        final_stderr[name] = (
-            float(per_trial.std(ddof=1) / np.sqrt(len(per_trial)))
-            if len(per_trial) > 1
-            else 0.0
-        )
-        if name == "jio_mber_auto":
-            counts = np.zeros(cfg.D_max + 1, dtype=np.int64)
-            for t in trials:
-                counts += np.bincount(
-                    t.selected_ranks[name], minlength=cfg.D_max + 1
-                )
-            rank_counts[name] = counts
+    if "jio_mber_auto" in cfg.detectors:
+        counts = np.zeros(cfg.D_max + 1, dtype=np.int64)
+        for t in trials:
+            counts += np.bincount(t.selected_ranks["jio_mber_auto"], minlength=cfg.D_max + 1)
+        rank_counts["jio_mber_auto"] = counts
     return ExperimentResult(
         config=cfg,
         ber_trace=ber_trace,
@@ -531,7 +560,7 @@ def run_monte_carlo(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         final_stderr=final_stderr,
         final_ber_trials=final_trials,
         rank_counts=rank_counts,
-        final_window=window,
+        final_window=min(FINAL_WINDOW, cfg.num_symbols),
         wall_time_s=time.perf_counter() - start,
         stage_s=_sum_stages(t.stage_s for t in trials),
         health=_sum_health(trials),
@@ -568,39 +597,38 @@ def sweep(cfg: ExperimentConfig, axis: str, jobs: int = 1) -> SweepResult:
     The grid is read from ``snr_sweep``, ``users_sweep`` or ``rank_sweep``
     and each point sets ``snr_db``, ``K`` or ``D`` (``_SWEEP_AXES``); the
     rank axis runs the fixed-rank detector alone (the others do not
-    depend on D).  Every point reuses the same trial seeds (``base_seed +
-    t``), so points are paired by common random numbers: trial t sees the
-    same fading/bit realizations at every grid point, which makes trends
-    far less noisy than independent points would be.  Every point's
-    config is built and validated before the first one runs.
+    depend on D), every rank on one stream per trial (:func:`_rank_trial`).
+    Every point reuses the same trial seeds (``base_seed + t``), so points
+    are paired by common random numbers: trial t sees the same fading/bit
+    realizations at every grid point, which makes trends far less noisy
+    than independent points would be.  Every point's config is built and
+    validated before the first one runs.
     """
     validate_config(cfg)
     if axis not in _SWEEP_AXES:
         raise ConfigurationError(f"axis must be one of {tuple(_SWEEP_AXES)}, got {axis!r}")
     grid_key, point_key = _SWEEP_AXES[axis]
-    fixed_only = {"detectors": ("jio_mber_fixed",)} if axis == "rank" else {}
     start = time.perf_counter()
     points = getattr(cfg, grid_key)
-    point_cfgs = [dataclasses.replace(cfg, **{point_key: p}, **fixed_only) for p in points]
+    point_cfgs = [dataclasses.replace(cfg, **{point_key: p}) for p in points]
     for point_cfg in point_cfgs:
         validate_config(point_cfg)
-    rows = []
-    stages = []
-    health = {}
-    for point, point_cfg in zip(points, point_cfgs):
-        result = run_monte_carlo(point_cfg, jobs=jobs)
-        stages.append(result.stage_s)
-        if result.health:
-            health[_fmt(float(point))] = result.health
-        for name in point_cfg.detectors:
-            rows.append(
-                SweepRow(
-                    axis_value=float(point),
-                    detector=name,
-                    ber=result.final_ber[name],
-                    stderr=result.final_stderr[name],
+    rows, stages, health = [], [], {}
+    if axis == "rank":
+        trials = _map_trials(functools.partial(_rank_trial, cfg, points), cfg, jobs)
+        stages = [t.stage_s for t in trials]
+        _, _, ber, se = _aggregate(trials, range(len(points)), cfg.num_symbols)
+        rows = [SweepRow(float(d), "jio_mber_fixed", ber[i], se[i]) for i, d in enumerate(points)]
+    else:
+        for point, point_cfg in zip(points, point_cfgs):
+            result = run_monte_carlo(point_cfg, jobs=jobs)
+            stages.append(result.stage_s)
+            if result.health:
+                health[_fmt(float(point))] = result.health
+            for name in point_cfg.detectors:
+                rows.append(
+                    SweepRow(float(point), name, result.final_ber[name], result.final_stderr[name])
                 )
-            )
     return SweepResult(
         axis=axis,
         rows=rows,
@@ -646,8 +674,6 @@ def _write_sidecar(path: str, kind: str, result) -> None:
         "config": dataclasses.asdict(result.config),
     }
     if kind == "trace":
-        meta["base_seed"] = result.config.base_seed
-        meta["num_trials"] = result.config.num_trials
         meta["final_window"] = result.final_window
         meta["rank_counts"] = {
             name: counts.tolist() for name, counts in result.rank_counts.items()

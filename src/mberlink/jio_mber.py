@@ -19,6 +19,10 @@ root) runs on Python floats rather than numpy scalars.
 A non-finite filter norm raises :class:`~mberlink.errors.NumericalError`
 instead of passing as near zero.
 
+:func:`stack_step` runs the same cycles for several fixed-rank states on
+one stream at once, zero-padded to the largest rank (the rank sweep);
+one state alone is faster through :func:`jio_step`.
+
 Rank selection truncates the leading columns/entries of a state adapted
 at the maximum allowed rank, renormalizes, and picks the rank whose
 single-sample error-probability estimate is smallest.
@@ -29,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detector_core import _NORM_EPS, _decide, _mber_factor, _unit_norm
-from .errors import ConfigurationError
+from .detector_core import _NORM_EPS, _SQRT_2PI, _decide, _mber_factor, _unit_norm
+from .errors import ConfigurationError, NumericalError
 
 
 class Mode(enum.Enum):
@@ -40,7 +44,8 @@ class Mode(enum.Enum):
 
 @dataclass
 class JioState:
-    """Mutable adaptation state: projection S (M x D) and filter w (D)."""
+    """Mutable adaptation state: projection S (M x D) and filter w (D), or
+    P of them stacked along a leading axis (:func:`init_stack`)."""
 
     S: np.ndarray
     w: np.ndarray
@@ -173,6 +178,64 @@ def jio_step(
         b = decided
     _adapt(state, r, b, SH, z, xr)
     return state, decided
+
+
+def init_stack(M: int, ranks, mu_w: float, mu_S: float, J: int, rho: float) -> JioState:
+    """The :func:`init_state` of each rank, zero-padded into one state with
+    ``S``: P x M x max(ranks) and ``w``: P x max(ranks)."""
+    S = np.zeros((len(ranks), M, max(ranks)), dtype=np.complex128)
+    for p, D in enumerate(ranks):
+        S[p, :, :D] = init_state(M, D, mu_w, mu_S, J, rho).S
+    w = np.zeros(S.shape[::2], dtype=np.complex128)
+    return JioState(S, w, float(mu_w), float(mu_S), int(J), float(rho))
+
+
+def _check_finite(ranks, values, what: str) -> None:
+    """Raise NumericalError naming the first state whose value is not finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        p = int(np.argmin(finite))
+        raise NumericalError(f"rank D = {ranks[p]}: {what} is {values[p]}")
+
+
+def stack_step(stack: JioState, ranks, r: np.ndarray, b_known: int | None = None) -> np.ndarray:
+    """:func:`jio_step` of each state of an :func:`init_stack` stack on one ``r``.
+
+    ``b_known`` trains every state; None makes each follow its own
+    decision.  Each cycle is :func:`_cycle` and :func:`_unit_norm` term by
+    term over the states, but D-long sums run over the padded length, so a
+    state below the largest rank can differ from its own in the last bits.
+    A non-finite output or filter norm raises NumericalError naming the rank.
+    """
+    S, w, rho = stack.S, stack.w, stack.rho
+    upd, tmp = np.empty_like(S), np.empty_like(S)
+    rc = r[:, None]
+    for j in range(stack.J):
+        SH = S.conj().transpose(0, 2, 1)
+        z = SH @ r
+        wc = w.conj()[:, None, :]
+        xr = (wc @ z[:, :, None])[:, 0, 0].real
+        if j == 0:
+            _check_finite(ranks, xr, "detector output")
+            decided = np.where(xr >= 0.0, 1, -1)
+            b = decided if b_known is None else b_known
+        sw = S @ w[:, :, None]
+        # _mber_factor at n = 1, one per state
+        c = np.exp(-(xr * xr) / (2.0 * rho * rho)) * b / (2.0 * _SQRT_2PI * rho)
+        np.multiply(rc, wc, out=upd)
+        np.multiply(sw, wc, out=tmp)
+        np.multiply(xr[:, None, None], tmp, out=tmp)
+        np.subtract(upd, tmp, out=upd)
+        np.multiply((stack.mu_S * c)[:, None, None], upd, out=upd)
+        w_next = w + (stack.mu_w * c)[:, None] * (z - xr[:, None] * (SH @ sw)[:, :, 0])
+        np.add(S, upd, out=S)
+        sw = S @ w_next[:, :, None]
+        norm_sq = (sw.conj().transpose(0, 2, 1) @ sw)[:, 0, 0].real
+        _check_finite(ranks, norm_sq, "filter norm")
+        # dividing by 1 keeps a filter whose norm is ~0, as _unit_norm does
+        w = w_next / np.where(norm_sq < _NORM_EPS, 1.0, np.sqrt(norm_sq))[:, None]
+    stack.w = w
+    return decided
 
 
 def _truncated_statistics(

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from mberlink import harness
 from mberlink.cli import main
 
 
@@ -56,8 +58,8 @@ def test_run_with_overrides(tmp_path, fast_config):
     )
     assert code == 0
     meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
-    assert meta["base_seed"] == 99
-    assert meta["num_trials"] == 1
+    assert meta["config"]["base_seed"] == 99
+    assert meta["config"]["num_trials"] == 1
     assert meta["config"]["detectors"] == ["full_rank_lms"]
 
 
@@ -144,3 +146,24 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
     assert code == 3
     assert "full_rank_lms at symbol" in capsys.readouterr().err
+
+
+def test_rank_sweep_numerical_error_exit_code(fast_config, tmp_path, capsys, monkeypatch):
+    """An infinite chip stops the stacked rank sweep with exit 3, naming
+    the detector, the rank, the symbol and the trial seed."""
+    synthesize = harness.synthesize_arrays
+
+    def with_inf_chip(*args):
+        windows, bits = synthesize(*args)
+        windows = windows.copy()
+        windows[25, 0] = np.inf
+        return windows, bits
+
+    monkeypatch.setattr(harness, "synthesize_arrays", with_inf_chip)
+    fast_config.write_text(fast_config.read_text() + "rank_sweep = 4, 2\nbase_seed = 7\n")
+    args = ["sweep", "--axis", "rank", "--config", str(fast_config)]
+    with np.errstate(invalid="ignore"):
+        code = main(args + ["--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "jio_mber_fixed at symbol 25 of trial seed 7: rank D = 4: " in err

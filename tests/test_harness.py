@@ -724,16 +724,73 @@ class TestSweep:
         assert err.value.field == "snr_db"
         assert calls == []
 
-    def test_same_result_for_every_job_count(self, tmp_path):
-        cfg = dataclasses.replace(FAST, users_sweep=(1, 2), num_trials=2)
-        serial = sweep(cfg, axis="users", jobs=1)
-        parallel = sweep(cfg, axis="users", jobs=2)
+    @pytest.mark.parametrize("axis", ["users", "rank"])
+    def test_same_result_for_every_job_count(self, tmp_path, axis):
+        cfg = dataclasses.replace(FAST, users_sweep=(1, 2), rank_sweep=(2, 4, 6), num_trials=2)
+        serial = sweep(cfg, axis=axis, jobs=1)
+        parallel = sweep(cfg, axis=axis, jobs=2)
         assert serial.rows == parallel.rows
         assert serial.health == parallel.health
         serial_csv, parallel_csv = tmp_path / "serial.csv", tmp_path / "parallel.csv"
         emit_csv(serial, serial_csv)
         emit_csv(parallel, parallel_csv)
         assert serial_csv.read_bytes() == parallel_csv.read_bytes()
+
+    def test_rank_points_equal_their_own_runs(self):
+        """Each rank of the stacked sweep gives the BER and stderr of a
+        fixed-rank run at that D (FAST: D_max = 6 is the unpadded rank)."""
+        cfg = dataclasses.replace(FAST, rank_sweep=(2, 6, 4), num_trials=3)
+        rows = sweep(cfg, axis="rank").rows
+        for row, d in zip(rows, cfg.rank_sweep):
+            alone = run_monte_carlo(
+                dataclasses.replace(cfg, D=d, detectors=("jio_mber_fixed",))
+            )
+            assert (row.axis_value, row.detector) == (d, "jio_mber_fixed")
+            assert row.ber == alone.final_ber["jio_mber_fixed"]
+            assert row.stderr == alone.final_stderr["jio_mber_fixed"]
+
+    def test_non_finite_chip_fails_the_rank_sweep_loudly(self, monkeypatch):
+        """An infinite chip at symbol 40 stops the stack there, naming the
+        detector, the first rank in the grid (every rank reads the chip),
+        the symbol and the trial seed."""
+
+        def with_inf_chip(*args):
+            windows, bits = synthesize_arrays(*args)
+            windows = windows.copy()  # a read-only view
+            windows[40, 3] = np.inf
+            return windows, bits
+
+        monkeypatch.setattr(harness, "synthesize_arrays", with_inf_chip)
+        cfg = dataclasses.replace(FAST, rank_sweep=(4, 2), num_trials=2)
+        message = rf"^jio_mber_fixed at symbol 40 of trial seed {cfg.base_seed}: rank D = 4: "
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError, match=message):
+                sweep(cfg, axis="rank")
+
+    @pytest.mark.slow
+    def test_rank_sweep_reproduces_recorded_digests(self):
+        """Every decision vector of the benchmark's rank_sweep pool equals
+        the recorded one: sha256 of the int8 decisions, first 16 hex
+        digits, keyed ``D/seed``, with its final-window error count."""
+        import hashlib
+        import pathlib
+
+        path = pathlib.Path(__file__).parents[1] / "perfbench" / "reference.json"
+        recorded = json.loads(path.read_text())["workloads"]["rank_sweep"]
+        cfg = ExperimentConfig(detectors=("jio_mber_fixed",))
+        ranks = tuple(recorded["grid"])
+        assert ranks == cfg.rank_sweep
+        seeds = sorted({int(key.split("/")[1]) for key in recorded["trials"]})
+        got = {}
+        for seed in seeds:
+            trial = harness._rank_trial(cfg, ranks, seed)
+            for i, d in enumerate(ranks):
+                dec = np.asarray(trial.decisions[i], dtype=np.int8)
+                errors = int(trial.errors[i][-recorded["window"] :].sum())
+                digest = hashlib.sha256(dec.tobytes()).hexdigest()[:16]
+                got[f"{d}/{seed}"] = {"jio_mber_fixed": [digest, errors]}
+        assert len(got) == 128
+        assert got == recorded["trials"]
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -818,7 +875,8 @@ class TestEmitCsv:
         meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
         assert meta["kind"] == "trace"
         assert meta["config"]["K"] == FAST.K
-        assert meta["base_seed"] == FAST.base_seed
+        assert meta["config"]["base_seed"] == FAST.base_seed
+        assert "base_seed" not in meta and "num_trials" not in meta
         assert meta["version"].startswith("mberlink-")
         stages = meta["stage_s"]
         assert set(stages) == {"synthesis", *FAST.detectors}

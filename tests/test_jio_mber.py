@@ -22,10 +22,12 @@ from mberlink.jio_mber import (
     RankSelectionConfig,
     _cycle,
     _truncated_statistics,
+    init_stack,
     init_state,
     jio_step,
     scale_filter,
     select_rank,
+    stack_step,
     update_filter,
 )
 
@@ -476,6 +478,55 @@ class TestFusedCycles:
                 assert np.array_equal(fused.w, other.w), i
                 assert fused.scaling_skipped == other.scaling_skipped, i
             assert fused.scaling_skipped == (i < 3 or i == 150), i
+
+
+class TestStackStep:
+    M = 33
+
+    @pytest.mark.parametrize("ranks", [(4,), (2, 4, 6), (4, 4), (2, 33)])
+    @pytest.mark.parametrize("j", [1, 5])
+    @pytest.mark.parametrize("dd_symbols", [0, 160])
+    def test_matches_jio_step_per_state(self, ranks, j, dd_symbols):
+        """Each stacked state decides as its own jio_step at every symbol;
+        a state at the stack's largest rank matches it bit for bit, a
+        padded one within 1e-12, and its padding stays exactly 0.  The
+        zero windows at symbols 0-2 force scaling skips."""
+        rng = np.random.default_rng(7 * j + dd_symbols + sum(ranks))
+        stack = init_stack(self.M, ranks, 0.05, 0.05, j, 0.35)
+        states = [init_state(self.M, d, 0.05, 0.05, j, 0.35) for d in ranks]
+        codes = rng.choice([-1.0, 1.0], size=(3, self.M))
+        d_max = max(ranks)
+        for i in range(80 + dd_symbols):
+            training = i < 80
+            bits = rng.choice([-1, 1], size=3)
+            noise = rng.standard_normal(self.M) + 1j * rng.standard_normal(self.M)
+            r = np.zeros(self.M, dtype=complex) if i < 3 else bits @ codes + 0.3 * noise
+            b_known = int(bits[0]) if training else None
+            decided = stack_step(stack, ranks, r, b_known)
+            for p, (d, state) in enumerate(zip(ranks, states)):
+                state.mode = Mode.TRAINING if training else Mode.DECISION_DIRECTED
+                assert decided[p] == jio_step(state, r, b_known)[1], (i, p)
+                S, w = stack.S[p, :, :d], stack.w[p, :d]
+                assert not stack.S[p, :, d:].any() and not stack.w[p, d:].any(), (i, p)
+                if d == d_max:
+                    assert np.array_equal(S, state.S) and np.array_equal(w, state.w), (i, p)
+                else:
+                    np.testing.assert_allclose(S, state.S, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(w, state.w, rtol=0, atol=1e-12)
+
+    def test_non_finite_names_the_failing_rank(self):
+        """A NaN output or an overflowing norm names the rank of the state
+        it occurs in, wherever that state sits in the stack."""
+        stack = init_stack(self.M, (2, 6), 0.05, 0.05, 1, 0.35)
+        stack.w[1, 0] = np.nan
+        with pytest.raises(NumericalError, match=r"^rank D = 6: detector output is nan$"):
+            stack_step(stack, (2, 6), np.ones(self.M, dtype=complex), 1)
+        stack = init_stack(self.M, (2, 6), 0.05, 0.05, 1, 0.35)
+        stack.S[0, :, :2] = 1e200
+        stack.w[0, 0] = 1e-40  # output 33e160, squared norm past the float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"^rank D = 2: filter norm is "):
+                stack_step(stack, (2, 6), np.ones(self.M, dtype=complex), 1)
 
 
 class TestNonFinite:
