@@ -8,12 +8,15 @@ scaling of the previous cycle guarantees (the very first cycle starts
 from the all-zero filter, where the update reduces to the pure
 excitation term and the scaling then establishes the constraint).
 
-Each cycle computes ``S^H``, ``z = S^H r``, ``Re x = Re(w^H z)``, ``S w``
-and the update factor once and builds both updates from them; only the
-scaling computes ``S w`` again, on the updated state.  The first cycle
-of a symbol reuses the ``S^H``, ``z`` and ``Re x`` that the decision
-formed (the auto-rank detector, which decides on a prefix sum, hands
-over ``S^H`` and ``z`` only), and every cycle reuses one ``r[:, None]``.
+Each cycle forms ``z = S^H r``, ``Re x = Re(w^H z)``, ``S w`` and the
+update factor ``c`` once.  The projection gradient is the rank-one
+``(r - Re x S w) w^H``, so the cycle first forms the M-vector
+``u = (mu_S c)(r - Re x S w)`` and then adds the one outer product
+``u w^H`` to S; the filter moves by ``(mu_w c)(z - Re x S^H S w)``.
+Only the scaling computes ``S w`` again, on the updated state.  The
+first cycle of a symbol reuses the ``S^H``, ``z`` and ``Re x`` that the
+decision formed (the auto-rank detector, which decides on a prefix sum,
+hands over ``S^H`` and ``z`` only).
 The scalar arithmetic (``Re x``, the update factor, the norm's square
 root) runs on Python floats rather than numpy scalars.
 A non-finite filter norm raises :class:`~mberlink.errors.NumericalError`
@@ -97,16 +100,15 @@ def init_state(
     )
 
 
-def _cycle(S, w, r, b, rho, mu_w, mu_S, rc=None, SH=None, z=None, xr=None):
+def _cycle(S, w, r, b, rho, mu_w, mu_S, SH=None, z=None, xr=None):
     """One joint update ``(S_next, w_next)`` from the pre-cycle terms.
 
-    ``S^H``, ``z = S^H r``, ``Re x``, ``S w`` and the scalar update factor
-    are each computed once; the factor assumes a unit-norm state.  A
-    caller that already holds ``rc = r[:, None]``, ``SH``, ``z`` or ``xr``
-    of this state passes it instead.
+    With the update factor ``c`` (which assumes a unit-norm state), the
+    projection moves by the rank-one ``u w^H``, ``u = (mu_S c)(r - Re x S w)``,
+    and the filter by ``(mu_w c)(z - Re x S^H S w)``.  A caller that
+    already holds ``SH``, ``z = S^H r`` or ``xr = Re x`` of this state
+    passes it instead.
     """
-    if rc is None:
-        rc = r[:, None]
     if SH is None:
         SH = S.conj().T
     if z is None:
@@ -115,8 +117,8 @@ def _cycle(S, w, r, b, rho, mu_w, mu_S, rc=None, SH=None, z=None, xr=None):
         xr = float(np.vdot(w, z).real)
     sw = S @ w
     c = _mber_factor(xr, b, rho)
-    wc = w.conj()
-    S_next = S + (mu_S * c) * (rc * wc - xr * (sw[:, None] * wc))
+    u = (mu_S * c) * (r - xr * sw)
+    S_next = S + u[:, None] * w.conj()
     w_next = w + (mu_w * c) * (z - xr * (SH @ sw))
     return S_next, w_next
 
@@ -145,9 +147,8 @@ def _adapt(state: JioState, r: np.ndarray, b: int, SH=None, z=None, xr=None) -> 
     """
     S, w, rho = state.S, state.w, state.rho
     mu_w, mu_S = state.mu_w, state.mu_S
-    rc = r[:, None]
     for _ in range(state.J):
-        S, w_next = _cycle(S, w, r, b, rho, mu_w, mu_S, rc, SH, z, xr)
+        S, w_next = _cycle(S, w, r, b, rho, mu_w, mu_S, SH, z, xr)
         w, skipped = _unit_norm(w_next, S @ w_next)
         SH = z = xr = None
     state.S, state.w, state.scaling_skipped = S, w, skipped
@@ -208,8 +209,6 @@ def stack_step(stack: JioState, ranks, r: np.ndarray, b_known: int | None = None
     A non-finite output or filter norm raises NumericalError naming the rank.
     """
     S, w, rho = stack.S, stack.w, stack.rho
-    upd, tmp = np.empty_like(S), np.empty_like(S)
-    rc = r[:, None]
     for j in range(stack.J):
         SH = S.conj().transpose(0, 2, 1)
         z = SH @ r
@@ -222,13 +221,9 @@ def stack_step(stack: JioState, ranks, r: np.ndarray, b_known: int | None = None
         sw = S @ w[:, :, None]
         # _mber_factor at n = 1, one per state
         c = np.exp(-(xr * xr) / (2.0 * rho * rho)) * b / (2.0 * _SQRT_2PI * rho)
-        np.multiply(rc, wc, out=upd)
-        np.multiply(sw, wc, out=tmp)
-        np.multiply(xr[:, None, None], tmp, out=tmp)
-        np.subtract(upd, tmp, out=upd)
-        np.multiply((stack.mu_S * c)[:, None, None], upd, out=upd)
+        u = (stack.mu_S * c)[:, None] * (r - xr[:, None] * sw[:, :, 0])
         w_next = w + (stack.mu_w * c)[:, None] * (z - xr[:, None] * (SH @ sw)[:, :, 0])
-        np.add(S, upd, out=S)
+        S += u[:, :, None] * wc
         sw = S @ w_next[:, :, None]
         norm_sq = (sw.conj().transpose(0, 2, 1) @ sw)[:, 0, 0].real
         _check_finite(ranks, norm_sq, "filter norm")

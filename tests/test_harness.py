@@ -2,8 +2,10 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -51,6 +53,21 @@ FAST = ExperimentConfig(
     num_trials=3,
     base_seed=555,
 )
+
+
+def _recorded_digests(workload):
+    """The benchmark's recorded pool of ``workload`` and its trial seeds.
+
+    Each trial maps ``D/seed`` to, per detector, the sha256 of its int8
+    decisions (first 16 hex digits) and its final-window error count."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "reference.json"
+    recorded = json.loads(path.read_text())["workloads"][workload]
+    return recorded, sorted({int(key.split("/")[1]) for key in recorded["trials"]})
+
+
+def _digest(decisions, errors, window):
+    dec = np.asarray(decisions, dtype=np.int8)
+    return [hashlib.sha256(dec.tobytes()).hexdigest()[:16], int(errors[-window:].sum())]
 
 
 class TestParseConfig:
@@ -419,6 +436,23 @@ class TestRunTrial:
                 run_trial(cfg, seed)
         assert first == 214
 
+    @pytest.mark.slow
+    def test_reproduces_recorded_reference_digests(self):
+        """Every decision vector of the benchmark's reference pool (the paper
+        operating point, all four detectors) equals the recorded one."""
+        recorded, seeds = _recorded_digests("reference")
+        cfg = ExperimentConfig()
+        assert recorded["grid"] == [cfg.D]
+        got = {}
+        for seed in seeds:
+            trial = run_trial(cfg, seed)
+            got[f"{cfg.D}/{seed}"] = {
+                name: _digest(trial.decisions[name], trial.errors[name], recorded["window"])
+                for name in cfg.detectors
+            }
+        assert len(got) == 32 and len(cfg.detectors) == 4
+        assert got == recorded["trials"]
+
 
 def _two_pass_auto_step(state, ranks, averaging, avg, r, true_bit, training):
     """The auto detector's step with ``S^H r`` computed twice: once for the
@@ -770,25 +804,20 @@ class TestSweep:
     @pytest.mark.slow
     def test_rank_sweep_reproduces_recorded_digests(self):
         """Every decision vector of the benchmark's rank_sweep pool equals
-        the recorded one: sha256 of the int8 decisions, first 16 hex
-        digits, keyed ``D/seed``, with its final-window error count."""
-        import hashlib
-        import pathlib
-
-        path = pathlib.Path(__file__).parents[1] / "perfbench" / "reference.json"
-        recorded = json.loads(path.read_text())["workloads"]["rank_sweep"]
+        the recorded one (see ``_recorded_digests``)."""
+        recorded, seeds = _recorded_digests("rank_sweep")
         cfg = ExperimentConfig(detectors=("jio_mber_fixed",))
         ranks = tuple(recorded["grid"])
         assert ranks == cfg.rank_sweep
-        seeds = sorted({int(key.split("/")[1]) for key in recorded["trials"]})
         got = {}
         for seed in seeds:
             trial = harness._rank_trial(cfg, ranks, seed)
             for i, d in enumerate(ranks):
-                dec = np.asarray(trial.decisions[i], dtype=np.int8)
-                errors = int(trial.errors[i][-recorded["window"] :].sum())
-                digest = hashlib.sha256(dec.tobytes()).hexdigest()[:16]
-                got[f"{d}/{seed}"] = {"jio_mber_fixed": [digest, errors]}
+                got[f"{d}/{seed}"] = {
+                    "jio_mber_fixed": _digest(
+                        trial.decisions[i], trial.errors[i], recorded["window"]
+                    )
+                }
         assert len(got) == 128
         assert got == recorded["trials"]
 

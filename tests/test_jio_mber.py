@@ -135,12 +135,13 @@ class TestUpdateProjection:
                 _projection_step(state, r, b), expected, rtol=0, atol=1e-12
             )
 
-    def test_increment_has_rank_at_most_two(self):
+    def test_increment_has_rank_one(self):
+        """The increment is the outer product ``u w^H``."""
         rng = np.random.default_rng(5)
         state = random_state(rng, m=8, d=4, mu_S=0.3)
         r, b = random_sample(rng, 8)
         increment = _projection_step(state, r, b) - state.S
-        assert np.linalg.matrix_rank(increment, tol=1e-10) <= 2
+        assert np.linalg.matrix_rank(increment, tol=1e-10) <= 1
 
 
 class TestScaleFilter:
@@ -406,8 +407,20 @@ class TestRankSelectionConfig:
             RankSelectionConfig(6, 5)
 
 
-def _reference_cycles(state, r, b):
-    """The J inner cycles written out with the original per-function
+def _rank_one_projection(S, w, r, sw, xr, step):
+    """``S + step (r - Re x S w) w^H``: the kernel's order of operations."""
+    return S + np.outer(step * (r - xr * sw), w.conj())
+
+
+def _two_outer_projection(S, w, r, sw, xr, step):
+    """``S + step (r w^H - Re x (S w) w^H)``: the same update as two outer
+    products, which rounds differently from the rank-one order."""
+    wc = w.conj()
+    return S + step * (np.outer(r, wc) - xr * np.outer(sw, wc))
+
+
+def _reference_cycles(state, r, b, projection=_rank_one_projection):
+    """The J inner cycles written out with the plain per-function
     arithmetic (three conjugate copies, ``np.outer``), as the oracle."""
     for _ in range(state.J):
         S, w = state.S, state.w
@@ -419,9 +432,7 @@ def _reference_cycles(state, r, b):
             / (2.0 * np.sqrt(2.0 * np.pi) * state.rho)
         )
         w_next = w + (state.mu_w * c) * (z - xr * (S.conj().T @ (S @ w)))
-        sw = S @ w
-        wc = w.conj()
-        state.S = S + (state.mu_S * c) * (np.outer(r, wc) - xr * np.outer(sw, wc))
+        state.S = projection(S, w, r, S @ w, xr, state.mu_S * c)
         state.w = w_next
         sw = state.S @ state.w
         norm_sq = np.vdot(sw, sw).real
@@ -439,8 +450,32 @@ def _composed_cycles(state, r, b):
         scale_filter(state)
 
 
+def _own_decision(state, r):
+    return 1 if np.vdot(state.w, state.S.conj().T @ r).real >= 0 else -1
+
+
 class TestFusedCycles:
     M = 33
+
+    def _symbols(self, rng, states):
+        """240 symbols, training for the first 80: zero windows at symbols
+        0-2 and 150, where every filter is also reset to zero (so the
+        scaling skip must happen again).  Yields ``(i, r, b_known)``."""
+        codes = rng.choice([-1.0, 1.0], size=(3, self.M))
+        zero = np.zeros(self.M, dtype=complex)
+        for i in range(240):
+            training = i < 80
+            bits = rng.choice([-1, 1], size=3)
+            noise = rng.standard_normal(self.M) + 1j * rng.standard_normal(self.M)
+            r = bits @ codes + 0.3 * noise
+            if i == 150:
+                for s in states:
+                    s.w = np.zeros_like(s.w)
+            if i < 3 or i == 150:
+                r = zero
+            for s in states:
+                s.mode = Mode.TRAINING if training else Mode.DECISION_DIRECTED
+            yield i, r, int(bits[0]) if training else None
 
     @pytest.mark.parametrize("d", [1, 8, 20, 33])
     @pytest.mark.parametrize("j", [1, 5])
@@ -451,26 +486,11 @@ class TestFusedCycles:
         fused = init_state(self.M, d, 0.05, 0.05, j, 0.35)
         composed = copy.deepcopy(fused)
         reference = copy.deepcopy(fused)
-        codes = rng.choice([-1.0, 1.0], size=(3, self.M))
-        zero = np.zeros(self.M, dtype=complex)
-        for i in range(240):
-            training = i < 80
-            bits = rng.choice([-1, 1], size=3)
-            noise = rng.standard_normal(self.M) + 1j * rng.standard_normal(self.M)
-            r = bits @ codes + 0.3 * noise
-            if i == 150:
-                # back to the zero filter: the skip must happen again
-                for s in (fused, composed, reference):
-                    s.w = np.zeros(d, dtype=complex)
-            if i < 3 or i == 150:
-                r = zero
-            for s in (fused, composed, reference):
-                s.mode = Mode.TRAINING if training else Mode.DECISION_DIRECTED
-            b_known = int(bits[0]) if training else None
+        for i, r, b_known in self._symbols(rng, (fused, composed, reference)):
             _, decided = jio_step(fused, r, b_known)
-            expected = 1 if np.vdot(composed.w, composed.S.conj().T @ r).real >= 0 else -1
+            expected = _own_decision(composed, r)
             assert decided == expected
-            b = b_known if training else expected
+            b = expected if b_known is None else b_known
             _composed_cycles(composed, r, b)
             _reference_cycles(reference, r, b)
             for other in (composed, reference):
@@ -478,6 +498,25 @@ class TestFusedCycles:
                 assert np.array_equal(fused.w, other.w), i
                 assert fused.scaling_skipped == other.scaling_skipped, i
             assert fused.scaling_skipped == (i < 3 or i == 150), i
+
+    @pytest.mark.parametrize("d", [1, 8, 20, 33])
+    @pytest.mark.parametrize("j", [1, 5])
+    def test_two_outer_product_form_agrees_within_rounding(self, d, j):
+        """The projection update as two outer products rounds differently
+        from the rank-one order but decides the same at every one of the
+        same 240 symbols, with S and w within 1e-13 of jio_step's."""
+        rng = np.random.default_rng(100 + d + j)
+        fused = init_state(self.M, d, 0.05, 0.05, j, 0.35)
+        two_outer = copy.deepcopy(fused)
+        for i, r, b_known in self._symbols(rng, (fused, two_outer)):
+            _, decided = jio_step(fused, r, b_known)
+            expected = _own_decision(two_outer, r)
+            assert decided == expected, i
+            b = expected if b_known is None else b_known
+            _reference_cycles(two_outer, r, b, _two_outer_projection)
+            np.testing.assert_allclose(fused.S, two_outer.S, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(fused.w, two_outer.w, rtol=0, atol=1e-13)
+            assert fused.scaling_skipped == two_outer.scaling_skipped, i
 
 
 class TestStackStep:
