@@ -86,13 +86,10 @@ def _mber_factor(xr, b, rho, n=1.0):
     return e * float(b) / (2.0 * _SQRT_2PI * rho)
 
 
-def _unit_norm(w, sw):
-    """``(w / ||sw||, False)``, or ``(w, True)`` when ``||sw||^2`` is ~0.
-
-    ``sw`` is ``S w`` for a reduced-rank filter and ``w`` itself at full
-    rank.  A non-finite norm raises :class:`~mberlink.errors.NumericalError`.
-    """
-    norm_sq = np.vdot(sw, sw).real
+def _unit_norm(w):
+    """``(w / ||w||, False)``, or ``(w, True)`` when ``||w||^2`` is ~0; a
+    non-finite norm raises :class:`~mberlink.errors.NumericalError`."""
+    norm_sq = np.vdot(w, w).real
     if not math.isfinite(norm_sq):
         raise NumericalError(f"filter norm is {norm_sq}")
     if norm_sq < _NORM_EPS:

@@ -272,7 +272,7 @@ def _jio_auto(
     state's own decision when ``b`` is None) and appends it to ``chosen``."""
     avg = None
     for r, b in stream:
-        stat, xr, z, SH = _truncated_statistics(state, ranks, r, b)
+        stat, xr, sw = _truncated_statistics(state, ranks, r, b)
         if averaging > 0.0:
             # extension: exponentially averaged error-probability metric
             p = q_function(stat / state.rho)
@@ -282,7 +282,7 @@ def _jio_auto(
             pick = int(np.argmax(stat))
         chosen.append(ranks.d_min + pick)
         decided = _decide(xr[pick])
-        _adapt(state, r, decided if b is None else b, SH, z)
+        _adapt(state, r, decided if b is None else b, sw)
         yield decided
 
 

@@ -8,15 +8,14 @@ scaling of the previous cycle guarantees (the very first cycle starts
 from the all-zero filter, where the update reduces to the pure
 excitation term and the scaling then establishes the constraint).
 
-Each cycle forms ``z = S^H r``, ``Re x = Re(w^H z)``, ``S w`` and the
-update factor ``c`` once.  The projection gradient is the rank-one
-``(r - Re x S w) w^H``, so the cycle first forms the M-vector
-``u = (mu_S c)(r - Re x S w)`` and then adds the one outer product
-``u w^H`` to S; the filter moves by ``(mu_w c)(z - Re x S^H S w)``.
-Only the scaling computes ``S w`` again, on the updated state.  The
-first cycle of a symbol reuses the ``S^H``, ``z`` and ``Re x`` that the
-decision formed (the auto-rank detector, which decides on a prefix sum,
-hands over ``S^H`` and ``z`` only).
+Both gradient steps of a cycle share one M-vector, ``v = r - Re x S w``:
+the projection moves by the rank-one ``(mu_S c) v w^H`` and the filter
+by ``(mu_w c) S^H v`` (``S^H r - Re x S^H S w = S^H v``), taken from
+``v^H S`` so that no conjugate copy of S is formed.  A cycle takes
+``S w`` and ``Re x = Re((S w)^H r)`` in and forms ``v`` and the update
+factor ``c`` once; its scaling computes ``S w`` on the updated state
+for the norm and hands ``S w / ||S w||`` to the next cycle.  The first
+cycle of a symbol takes the ``S w`` and ``Re x`` its decision formed.
 The scalar arithmetic (``Re x``, the update factor, the norm's square
 root) runs on Python floats rather than numpy scalars.
 A non-finite filter norm raises :class:`~mberlink.errors.NumericalError`
@@ -32,11 +31,12 @@ single-sample error-probability estimate is smallest.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detector_core import _NORM_EPS, _SQRT_2PI, _decide, _mber_factor, _unit_norm
+from .detector_core import _NORM_EPS, _SQRT_2PI, _decide, _mber_factor
 from .errors import ConfigurationError, NumericalError
 
 
@@ -100,27 +100,32 @@ def init_state(
     )
 
 
-def _cycle(S, w, r, b, rho, mu_w, mu_S, SH=None, z=None, xr=None):
-    """One joint update ``(S_next, w_next)`` from the pre-cycle terms.
-
-    With the update factor ``c`` (which assumes a unit-norm state), the
-    projection moves by the rank-one ``u w^H``, ``u = (mu_S c)(r - Re x S w)``,
-    and the filter by ``(mu_w c)(z - Re x S^H S w)``.  A caller that
-    already holds ``SH``, ``z = S^H r`` or ``xr = Re x`` of this state
-    passes it instead.
-    """
-    if SH is None:
-        SH = S.conj().T
-    if z is None:
-        z = SH @ r
+def _cycle(S, w, r, b, rho, mu_w, mu_S, sw=None, xr=None):
+    """One joint update ``(S_next, w_next)``: with ``v = r - Re x S w`` and
+    the update factor ``c`` (which assumes a unit-norm state), S moves by
+    ``(mu_S c) v w^H`` and w by ``(mu_w c) S^H v``.  A caller that already
+    holds ``sw = S w`` or ``xr = Re x`` of this state passes it instead."""
+    if sw is None:
+        sw = S @ w
     if xr is None:
-        xr = float(np.vdot(w, z).real)
-    sw = S @ w
+        xr = float(np.vdot(sw, r).real)
     c = _mber_factor(xr, b, rho)
-    u = (mu_S * c) * (r - xr * sw)
-    S_next = S + u[:, None] * w.conj()
-    w_next = w + (mu_w * c) * (z - xr * (SH @ sw))
-    return S_next, w_next
+    v = r - xr * sw
+    w_next = w + (mu_w * c) * (v.conj() @ S).conj()
+    return S + ((mu_S * c) * v)[:, None] * w.conj(), w_next
+
+
+def _scale(S, w):
+    """``(w / s, S w / s, False)`` with ``s = ||S w||``, or ``(w, S w, True)``
+    when ``s^2`` is ~0; a non-finite ``s^2`` raises NumericalError."""
+    sw = S @ w
+    norm_sq = np.vdot(sw, sw).real
+    if not math.isfinite(norm_sq):
+        raise NumericalError(f"filter norm is {norm_sq}")
+    if norm_sq < _NORM_EPS:
+        return w, sw, True
+    s = math.sqrt(norm_sq)
+    return w / s, sw / s, False
 
 
 def update_filter(state: JioState, r: np.ndarray, b: int) -> np.ndarray:
@@ -133,24 +138,20 @@ def scale_filter(state: JioState) -> JioState:
 
     A non-finite norm raises :class:`~mberlink.errors.NumericalError`.
     """
-    state.w, state.scaling_skipped = _unit_norm(state.w, state.S @ state.w)
+    state.w, _, state.scaling_skipped = _scale(state.S, state.w)
     return state
 
 
-def _adapt(state: JioState, r: np.ndarray, b: int, SH=None, z=None, xr=None) -> None:
-    """Run the J inner cycles in place.
-
-    ``SH``, ``z`` and ``xr`` are the pre-update state's ``S^H``, ``S^H r``
-    and ``Re w^H S^H r`` when the caller already formed them; only the
-    first cycle can use them.  Each cycle is :func:`_cycle` (whose filter
-    half is :func:`update_filter`) followed by :func:`scale_filter`.
-    """
-    S, w, rho = state.S, state.w, state.rho
-    mu_w, mu_S = state.mu_w, state.mu_S
+def _adapt(state: JioState, r: np.ndarray, b: int, sw=None, xr=None) -> None:
+    """Run the J inner cycles in place: each is :func:`_cycle` (whose filter
+    half is :func:`update_filter`) and the scaling of :func:`scale_filter`,
+    whose ``S w`` the next cycle takes.  The first takes ``sw`` and ``xr``,
+    the pre-update ``S w`` and ``Re x``, when the caller already holds them."""
+    S, w = state.S, state.w
     for _ in range(state.J):
-        S, w_next = _cycle(S, w, r, b, rho, mu_w, mu_S, SH, z, xr)
-        w, skipped = _unit_norm(w_next, S @ w_next)
-        SH = z = xr = None
+        S, w_next = _cycle(S, w, r, b, state.rho, state.mu_w, state.mu_S, sw, xr)
+        w, sw, skipped = _scale(S, w_next)
+        xr = None
     state.S, state.w, state.scaling_skipped = S, w, skipped
 
 
@@ -165,9 +166,8 @@ def jio_step(
     ``b_known`` must be omitted.  A non-finite output raises
     :class:`~mberlink.errors.NumericalError`.
     """
-    SH = state.S.conj().T
-    z = SH @ r
-    xr = float(np.vdot(state.w, z).real)
+    sw = state.S @ state.w
+    xr = float(np.vdot(sw, r).real)
     decided = _decide(xr)
     if state.mode is Mode.TRAINING:
         if b_known is None:
@@ -177,7 +177,7 @@ def jio_step(
         if b_known is not None:
             raise ValueError("decision-directed mode must not receive a bit")
         b = decided
-    _adapt(state, r, b, SH, z, xr)
+    _adapt(state, r, b, sw, xr)
     return state, decided
 
 
@@ -192,7 +192,10 @@ def init_stack(M: int, ranks, mu_w: float, mu_S: float, J: int, rho: float) -> J
 
 
 def _check_finite(ranks, values, what: str) -> None:
-    """Raise NumericalError naming the first state whose value is not finite."""
+    """Raise NumericalError naming the first state whose value is not finite;
+    one sum tests all states, and only a non-finite sum looks at each."""
+    if math.isfinite(values.sum()):
+        return
     finite = np.isfinite(values)
     if not finite.all():
         p = int(np.argmin(finite))
@@ -203,32 +206,32 @@ def stack_step(stack: JioState, ranks, r: np.ndarray, b_known: int | None = None
     """:func:`jio_step` of each state of an :func:`init_stack` stack on one ``r``.
 
     ``b_known`` trains every state; None makes each follow its own
-    decision.  Each cycle is :func:`_cycle` and :func:`_unit_norm` term by
+    decision.  Each cycle is :func:`_cycle` and :func:`_scale` term by
     term over the states, but D-long sums run over the padded length, so a
     state below the largest rank can differ from its own in the last bits.
     A non-finite output or filter norm raises NumericalError naming the rank.
     """
     S, w, rho = stack.S, stack.w, stack.rho
+    rc = r.conj()[:, None]  # Re(sw . conj r) rounds as np.vdot(sw, r).real
+    sw = (S @ w[:, :, None])[:, :, 0]
     for j in range(stack.J):
-        SH = S.conj().transpose(0, 2, 1)
-        z = SH @ r
-        wc = w.conj()[:, None, :]
-        xr = (wc @ z[:, :, None])[:, 0, 0].real
+        xr = (sw[:, None, :] @ rc)[:, 0, 0].real
         if j == 0:
             _check_finite(ranks, xr, "detector output")
             decided = np.where(xr >= 0.0, 1, -1)
             b = decided if b_known is None else b_known
-        sw = S @ w[:, :, None]
-        # _mber_factor at n = 1, one per state
-        c = np.exp(-(xr * xr) / (2.0 * rho * rho)) * b / (2.0 * _SQRT_2PI * rho)
-        u = (stack.mu_S * c)[:, None] * (r - xr[:, None] * sw[:, :, 0])
-        w_next = w + (stack.mu_w * c)[:, None] * (z - xr[:, None] * (SH @ sw)[:, :, 0])
-        S += u[:, :, None] * wc
-        sw = S @ w_next[:, :, None]
-        norm_sq = (sw.conj().transpose(0, 2, 1) @ sw)[:, 0, 0].real
+            # _mber_factor at n = 1, one per state: e b / k is e / (b k), b = +-1
+            bk = b * (2.0 * _SQRT_2PI * rho)
+        c = np.exp((xr * xr) / (-2.0 * rho * rho)) / bk
+        v = r - xr[:, None] * sw
+        w_next = w + (stack.mu_w * c)[:, None] * (v.conj()[:, None, :] @ S)[:, 0, :].conj()
+        S += ((stack.mu_S * c)[:, None] * v)[:, :, None] * w.conj()[:, None, :]
+        sw = (S @ w_next[:, :, None])[:, :, 0]
+        norm_sq = (sw.conj()[:, None, :] @ sw[:, :, None])[:, 0, 0].real
         _check_finite(ranks, norm_sq, "filter norm")
-        # dividing by 1 keeps a filter whose norm is ~0, as _unit_norm does
-        w = w_next / np.where(norm_sq < _NORM_EPS, 1.0, np.sqrt(norm_sq))[:, None]
+        # dividing by 1 keeps a filter whose norm is ~0, as _scale does
+        s = np.where(norm_sq < _NORM_EPS, 1.0, np.sqrt(norm_sq))[:, None]
+        w, sw = w_next / s, sw / s
     stack.w = w
     return decided
 
@@ -240,18 +243,16 @@ def _truncated_statistics(
 
     Keeping the first ``d`` filter taps and projection columns gives
     ``x_d = w_d^H S_d^H r`` and ``n_d = ||S_d w_d||^2`` (prefix sums, no
-    renormalization).  Returns ``(stat, xr, z, SH)``: entry ``i`` of
+    renormalization).  Returns ``(stat, xr, sw)``: entry ``i`` of
     ``stat`` is ``b Re[x_d] / sqrt(n_d)`` for ``d = d_min + i``, or 0 where
-    ``n_d`` vanishes; ``xr`` holds the same ``Re[x_d]``; ``z = S^H r`` and
-    ``SH = S^H``.  ``b=None`` takes the full state's own decision as the
-    reference bit.
+    ``n_d`` vanishes; ``xr`` holds the same ``Re[x_d]``; ``sw = S w`` of
+    the full state, formed as :func:`_cycle` forms it.  ``b=None`` takes
+    the full state's own decision as the reference bit.
     """
     D = state.w.shape[0]
     if cfg.d_max > D:
         raise ConfigurationError(f"d_max={cfg.d_max} exceeds the adapted rank {D}")
-    SH = state.S.conj().T
-    z = SH @ r
-    x = np.cumsum(state.w.conj() * z)
+    x = np.cumsum(state.w.conj() * (state.S.conj().T @ r))
     sw = np.cumsum(state.S * state.w[None, :], axis=1)
     n = (sw.real**2 + sw.imag**2).sum(axis=0)
     xr = x.real[cfg.d_min - 1 : cfg.d_max]
@@ -260,7 +261,7 @@ def _truncated_statistics(
     if b is None:
         b = 1 if x.real[D - 1] >= 0.0 else -1
     stat = np.where(valid, b * xr / np.sqrt(np.where(valid, nn, 1.0)), 0.0)
-    return stat, xr, z, SH
+    return stat, xr, state.S @ state.w
 
 
 def select_rank(
