@@ -61,5 +61,5 @@ def mber_full_rank_update(
     xr = wr.real
     c = _mber_factor(xr, b, state.rho)
     w_next = w + (state.mu * c) * (r - xr * w)
-    state.w, state.scaling_skipped = _unit_norm(w_next)
+    state.w, _, state.scaling_skipped = _unit_norm(w_next, w_next)
     return state

@@ -86,15 +86,21 @@ def _mber_factor(xr, b, rho, n=1.0):
     return e * float(b) / (2.0 * _SQRT_2PI * rho)
 
 
-def _unit_norm(w):
-    """``(w / ||w||, False)``, or ``(w, True)`` when ``||w||^2`` is ~0; a
-    non-finite norm raises :class:`~mberlink.errors.NumericalError`."""
-    norm_sq = np.vdot(w, w).real
+def _unit_norm(w, sw):
+    """``(w / s, s, False)`` with ``s = ||sw||``, or ``(w, 1.0, True)`` when
+    ``s^2`` is ~0.
+
+    ``sw`` is ``S w`` for a reduced-rank filter and ``w`` itself at full
+    rank; a caller that needs ``sw / s`` as well divides by the returned
+    ``s``.  A non-finite ``s^2`` raises :class:`~mberlink.errors.NumericalError`.
+    """
+    norm_sq = np.vdot(sw, sw).real
     if not math.isfinite(norm_sq):
         raise NumericalError(f"filter norm is {norm_sq}")
     if norm_sq < _NORM_EPS:
-        return w, True
-    return w / math.sqrt(norm_sq), False
+        return w, 1.0, True
+    s = math.sqrt(norm_sq)
+    return w / s, s, False
 
 
 def _common_terms(projection: np.ndarray, w: np.ndarray, r: np.ndarray):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detector_core import _NORM_EPS, _SQRT_2PI, _decide, _mber_factor
+from .detector_core import _NORM_EPS, _SQRT_2PI, _decide, _mber_factor, _unit_norm
 from .errors import ConfigurationError, NumericalError
 
 
@@ -115,19 +115,6 @@ def _cycle(S, w, r, b, rho, mu_w, mu_S, sw=None, xr=None):
     return S + ((mu_S * c) * v)[:, None] * w.conj(), w_next
 
 
-def _scale(S, w):
-    """``(w / s, S w / s, False)`` with ``s = ||S w||``, or ``(w, S w, True)``
-    when ``s^2`` is ~0; a non-finite ``s^2`` raises NumericalError."""
-    sw = S @ w
-    norm_sq = np.vdot(sw, sw).real
-    if not math.isfinite(norm_sq):
-        raise NumericalError(f"filter norm is {norm_sq}")
-    if norm_sq < _NORM_EPS:
-        return w, sw, True
-    s = math.sqrt(norm_sq)
-    return w / s, sw / s, False
-
-
 def update_filter(state: JioState, r: np.ndarray, b: int) -> np.ndarray:
     """One filter recursion; returns the new w, state untouched."""
     return _cycle(state.S, state.w, r, b, state.rho, state.mu_w, state.mu_S)[1]
@@ -138,20 +125,22 @@ def scale_filter(state: JioState) -> JioState:
 
     A non-finite norm raises :class:`~mberlink.errors.NumericalError`.
     """
-    state.w, _, state.scaling_skipped = _scale(state.S, state.w)
+    state.w, _, state.scaling_skipped = _unit_norm(state.w, state.S @ state.w)
     return state
 
 
 def _adapt(state: JioState, r: np.ndarray, b: int, sw=None, xr=None) -> None:
     """Run the J inner cycles in place: each is :func:`_cycle` (whose filter
-    half is :func:`update_filter`) and the scaling of :func:`scale_filter`,
-    whose ``S w`` the next cycle takes.  The first takes ``sw`` and ``xr``,
-    the pre-update ``S w`` and ``Re x``, when the caller already holds them."""
+    half is :func:`update_filter`) and :func:`scale_filter`'s scaling by
+    :func:`_unit_norm`, whose ``S w / s`` the next cycle takes.  The first
+    takes ``sw`` and ``xr``, the pre-update ``S w`` and ``Re x``, when the
+    caller already holds them."""
     S, w = state.S, state.w
     for _ in range(state.J):
         S, w_next = _cycle(S, w, r, b, state.rho, state.mu_w, state.mu_S, sw, xr)
-        w, sw, skipped = _scale(S, w_next)
-        xr = None
+        sw = S @ w_next
+        w, s, skipped = _unit_norm(w_next, sw)
+        sw, xr = sw / s, None
     state.S, state.w, state.scaling_skipped = S, w, skipped
 
 
@@ -206,7 +195,7 @@ def stack_step(stack: JioState, ranks, r: np.ndarray, b_known: int | None = None
     """:func:`jio_step` of each state of an :func:`init_stack` stack on one ``r``.
 
     ``b_known`` trains every state; None makes each follow its own
-    decision.  Each cycle is :func:`_cycle` and :func:`_scale` term by
+    decision.  Each cycle is :func:`_cycle` and :func:`_unit_norm` term by
     term over the states, but D-long sums run over the padded length, so a
     state below the largest rank can differ from its own in the last bits.
     A non-finite output or filter norm raises NumericalError naming the rank.
@@ -229,7 +218,7 @@ def stack_step(stack: JioState, ranks, r: np.ndarray, b_known: int | None = None
         sw = (S @ w_next[:, :, None])[:, :, 0]
         norm_sq = (sw.conj()[:, None, :] @ sw[:, :, None])[:, 0, 0].real
         _check_finite(ranks, norm_sq, "filter norm")
-        # dividing by 1 keeps a filter whose norm is ~0, as _scale does
+        # dividing by 1 keeps a filter whose norm is ~0, as _unit_norm does
         s = np.where(norm_sq < _NORM_EPS, 1.0, np.sqrt(norm_sq))[:, None]
         w, sw = w_next / s, sw / s
     stack.w = w

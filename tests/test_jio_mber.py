@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mberlink.detector_core import (
+    _unit_norm,
     decision_statistic,
     error_probability,
     gradient_S,
@@ -22,7 +23,6 @@ from mberlink.jio_mber import (
     Mode,
     RankSelectionConfig,
     _cycle,
-    _scale,
     _truncated_statistics,
     init_stack,
     init_state,
@@ -189,17 +189,20 @@ class TestJioStep:
             assert abs(np.vdot(sw, sw).real - 1.0) < 1e-10
 
     def test_two_inner_cycles_equal_composed_single_cycles(self):
-        """A step at J = 2 is its decision and then two single cycles, the
-        second handed the ``S w`` that the first one's scaling left."""
+        """A step at J = 2 is two steps at J = 1 on the same r, up to the
+        rounding of the ``S w`` that the J = 2 step carries between its
+        cycles; both J = 1 steps decide alike here."""
         rng = np.random.default_rng(10)
         state2 = random_state(rng, j=2, mu_w=0.04, mu_S=0.04)
         state1 = copy.deepcopy(state2)
+        state1.J = 1
         r, b = random_sample(rng, 6)
-        _, decided = jio_step(state2, r, b)
-        assert decided == _own_decision(state1, r)
-        _composed_cycles(state1, r, b)
-        assert np.array_equal(state1.w, state2.w)
-        assert np.array_equal(state1.S, state2.S)
+        jio_step(state2, r, b)
+        _, dec_a = jio_step(state1, r, b)
+        _, dec_b = jio_step(state1, r, b)
+        np.testing.assert_allclose(state1.w, state2.w, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(state1.S, state2.S, rtol=0, atol=1e-13)
+        assert dec_a == dec_b
 
     def test_zero_steps_freeze_state_and_decision(self):
         rng = np.random.default_rng(11)
@@ -471,16 +474,24 @@ def _z_form_cycles(state, r, b):
 
 
 def _composed_cycles(state, r, b):
-    """The J cycles, each the filter half and the projection half of
-    ``_cycle`` and the scaling of ``_scale`` as separate calls (the first
-    cycle's halves are update_filter and _projection_step; the scaling is
-    scale_filter's); every later cycle takes the ``S w`` of the scaling
-    before it."""
-    sw = None
-    for _ in range(state.J):
+    """The J cycles from separate calls: the first is update_filter,
+    _projection_step and scale_filter; every later one is _cycle handed
+    the ``S w`` that the scaling before it left, then _unit_norm.  That
+    ``S w`` is the scaling's ``S w_next / s``, which scale_filter drops
+    (``S (w_next / s)`` rounds differently), so it is divided by the
+    ``s`` of _unit_norm once more."""
+    w_next = update_filter(state, r, b)
+    state.S = _projection_step(state, r, b)
+    state.w = w_next
+    scale_filter(state)
+    sw = state.S @ w_next
+    sw = sw / _unit_norm(w_next, sw)[1]
+    for _ in range(state.J - 1):
         args = (state.S, state.w, r, b, state.rho, state.mu_w, state.mu_S, sw)
-        w_next, state.S = _cycle(*args)[1], _cycle(*args)[0]
-        state.w, sw, state.scaling_skipped = _scale(state.S, w_next)
+        state.S, w_next = _cycle(*args)
+        sw = state.S @ w_next
+        state.w, s, state.scaling_skipped = _unit_norm(w_next, sw)
+        sw = sw / s
 
 
 def _own_decision(state, r):
@@ -533,24 +544,22 @@ class TestFusedCycles:
             assert fused.scaling_skipped == (i < 3 or i == 150), i
 
     @pytest.mark.parametrize(
-        "oracle, atol",
-        [
-            (functools.partial(_reference_cycles, projection=_two_outer_projection), 1e-13),
-            (_z_form_cycles, 1e-11),
-        ],
+        "oracle",
+        [functools.partial(_reference_cycles, projection=_two_outer_projection), _z_form_cycles],
         ids=["two_outer", "z_form"],
     )
     @pytest.mark.parametrize("d", [1, 8, 20, 33])
     @pytest.mark.parametrize("j", [1, 5])
-    def test_two_outer_product_form_agrees_within_rounding(self, d, j, oracle, atol):
+    def test_two_outer_product_form_agrees_within_rounding(self, d, j, oracle):
         """Two other orders of the same cycle round differently from the
         kernel's but decide the same at every one of the same 240 symbols,
-        with S and w within ``atol`` of jio_step's.  The projection update
-        as two outer products stays within 1e-13.  The ``z = S^H r`` form,
-        with ``S w`` formed afresh in every cycle, gets 1e-11: at d = 1 the
-        real part of its filter step ``z - Re x S^H S w`` cancels exactly,
-        and at J = 5 it strays up to 1.3e-12 from a long-double run of the
-        same symbols, where jio_step strays up to 4.9e-13."""
+        with S and w within 1e-13 of jio_step's.  The one exception is the
+        ``z = S^H r`` form, with ``S w`` formed afresh in every cycle, at
+        d = 1 and J = 5, which gets 5e-12: at d = 1 the real part of its
+        filter step ``z - Re x S^H S w`` cancels exactly, and over J = 5 it
+        strays up to 1.8e-12 from jio_step (1.3e-12 from a long-double run
+        of the same symbols, where jio_step strays up to 4.9e-13)."""
+        atol = 5e-12 if oracle is _z_form_cycles and d == 1 and j == 5 else 1e-13
         rng = np.random.default_rng(100 + d + j)
         fused = init_state(self.M, d, 0.05, 0.05, j, 0.35)
         two_outer = copy.deepcopy(fused)
