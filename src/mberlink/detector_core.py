@@ -1,7 +1,7 @@
 """Reduced-rank detection pipeline and the error-probability machinery.
 
 All operations are pure functions of their inputs.  The decision
-statistic ``x = w^H S^H r`` feeds a kernel-smoothed single-sample
+statistic ``x = (S w)^H r`` feeds a kernel-smoothed single-sample
 estimate of the bit error probability, whose analytic gradients with
 respect to the conjugated filter and projection entries drive the
 stochastic-gradient detectors.
@@ -103,16 +103,18 @@ def _unit_norm(w, sw):
     return w / s, s, False
 
 
-def _common_terms(projection: np.ndarray, w: np.ndarray, r: np.ndarray):
-    z = projection.conj().T @ r
+def _direction(projection: np.ndarray, w: np.ndarray, r: np.ndarray, b: int, rho: float):
+    """``(k, v)`` of both gradients: ``v = r - (Re x / n) S w`` and
+    ``k = -c / sqrt(n)``, with ``c`` the update factor at ``n = ||S w||^2``."""
+    sign_b = _check_bit(b)
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
     sw = projection @ w
-    norm_sq = np.vdot(sw, sw).real
-    if norm_sq <= _NORM_EPS:
-        raise ValueError(
-            "filter norm through the projection is ~0; scale the state first"
-        )
-    x_real = np.vdot(w, z).real
-    return z, sw, norm_sq, x_real
+    n = np.vdot(sw, sw).real
+    if n <= _NORM_EPS:
+        raise ValueError("filter norm through the projection is ~0; scale the state first")
+    xr = np.vdot(sw, r).real
+    return -_mber_factor(xr, sign_b, rho, n) / np.sqrt(n), r - (xr / n) * sw
 
 
 def gradient_w(
@@ -123,33 +125,18 @@ def gradient_w(
     Returns
     -------
     numpy.ndarray, shape (D,)
-        ``-exp(-Re[x]^2 / (2 rho^2 n)) sign{b} / (2 sqrt(2 pi) rho)
-        * (S^H r / sqrt(n) - Re[x] S^H S w / n^{3/2})`` with
-        ``n = w^H S^H S w``.
+        ``k S^H v``, taken as ``(v^H S)^H``, with
+        ``v = r - (Re[x] / n) S w``, ``n = w^H S^H S w`` and
+        ``k = -exp(-Re[x]^2 / (2 rho^2 n)) sign{b} / (2 sqrt(2 pi) rho sqrt(n))``.
     """
-    sign_b = _check_bit(b)
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    z, sw, n, xr = _common_terms(projection, w, r)
-    shsw = projection.conj().T @ sw
-    return -_mber_factor(xr, sign_b, rho, n) * (
-        z / np.sqrt(n) - (xr / n**1.5) * shsw
-    )
+    k, v = _direction(projection, w, r, b, rho)
+    return k * (v.conj() @ projection).conj()
 
 
 def gradient_S(
     projection: np.ndarray, w: np.ndarray, r: np.ndarray, b: int, rho: float
 ) -> np.ndarray:
-    """Gradient of the error-probability estimate w.r.t. conj(S).
-
-    Same scalar factor as :func:`gradient_w`; the matrix part is
-    ``r w^H / sqrt(n) - S w w^H Re[x] / n^{3/2}``.
-    """
-    sign_b = _check_bit(b)
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    _, sw, n, xr = _common_terms(projection, w, r)
-    wc = w.conj()
-    return -_mber_factor(xr, sign_b, rho, n) * (
-        np.outer(r, wc) / np.sqrt(n) - (xr / n**1.5) * np.outer(sw, wc)
-    )
+    """Gradient of the error-probability estimate w.r.t. conj(S): the
+    rank-one ``k v w^H``, with the ``k`` and ``v`` of :func:`gradient_w`."""
+    k, v = _direction(projection, w, r, b, rho)
+    return k * np.outer(v, w.conj())

@@ -592,7 +592,7 @@ def _sum_health(trials) -> dict:
 
 
 def sweep(cfg: ExperimentConfig, axis: str, jobs: int = 1) -> SweepResult:
-    """One Monte Carlo run per grid point along ``snr``, ``users`` or ``rank``.
+    """Final BER at each grid point along ``snr``, ``users`` or ``rank``.
 
     The grid is read from ``snr_sweep``, ``users_sweep`` or ``rank_sweep``
     and each point sets ``snr_db``, ``K`` or ``D`` (``_SWEEP_AXES``); the
@@ -664,6 +664,13 @@ def _fmt(value: float) -> str:
     return "%.6g" % value
 
 
+def _json_value(value):
+    """A config value for JSON, a non-finite float as the text parse_config reads."""
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_sidecar(path: str, kind: str, result) -> None:
     meta = {
         "kind": kind,
@@ -671,7 +678,7 @@ def _write_sidecar(path: str, kind: str, result) -> None:
         "wall_time_s": result.wall_time_s,
         "stage_s": result.stage_s,
         "health": result.health,
-        "config": dataclasses.asdict(result.config),
+        "config": {k: _json_value(v) for k, v in dataclasses.asdict(result.config).items()},
     }
     if kind == "trace":
         meta["final_window"] = result.final_window
@@ -681,7 +688,7 @@ def _write_sidecar(path: str, kind: str, result) -> None:
     else:
         meta["axis"] = result.axis
     with open(path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -231,18 +231,19 @@ def _truncated_statistics(
     """Rank-selection statistics of the truncations ``d_min .. d_max``.
 
     Keeping the first ``d`` filter taps and projection columns gives
-    ``x_d = w_d^H S_d^H r`` and ``n_d = ||S_d w_d||^2`` (prefix sums, no
-    renormalization).  Returns ``(stat, xr, sw)``: entry ``i`` of
+    ``S_d w_d``, column ``d`` of the prefix sums of ``S w`` (no
+    renormalization), and from it ``Re[x_d] = Re(r^H S_d w_d)`` and
+    ``n_d = ||S_d w_d||^2``.  Returns ``(stat, xr, sw)``: entry ``i`` of
     ``stat`` is ``b Re[x_d] / sqrt(n_d)`` for ``d = d_min + i``, or 0 where
-    ``n_d`` vanishes; ``xr`` holds the same ``Re[x_d]``; ``sw = S w`` of
-    the full state, formed as :func:`_cycle` forms it.  ``b=None`` takes
-    the full state's own decision as the reference bit.
+    ``n_d`` vanishes; ``xr`` holds the same ``Re[x_d]``; ``sw = S w`` as
+    :func:`_cycle` forms it, which the last prefix sum does not match bit
+    for bit.  ``b=None`` takes the full state's own decision as reference.
     """
     D = state.w.shape[0]
     if cfg.d_max > D:
         raise ConfigurationError(f"d_max={cfg.d_max} exceeds the adapted rank {D}")
-    x = np.cumsum(state.w.conj() * (state.S.conj().T @ r))
     sw = np.cumsum(state.S * state.w[None, :], axis=1)
+    x = r.conj() @ sw
     n = (sw.real**2 + sw.imag**2).sum(axis=0)
     xr = x.real[cfg.d_min - 1 : cfg.d_max]
     nn = n[cfg.d_min - 1 : cfg.d_max]

@@ -138,14 +138,11 @@ class JakesChannel:
         if normalized_doppler < 0:
             raise ConfigurationError("normalized Doppler must be >= 0")
 
-        self.power_profile_db = profile
-        self.normalized_doppler = float(normalized_doppler)
-        self.seed = seed
         self.num_taps = profile.shape[0]
 
         rng = np.random.default_rng(seed)
         n_osc = _NUM_OSCILLATORS
-        omega = 2.0 * np.pi * self.normalized_doppler
+        omega = 2.0 * np.pi * float(normalized_doppler)
         theta = rng.uniform(-np.pi, np.pi, size=self.num_taps)
         self._phase_i = rng.uniform(-np.pi, np.pi, size=(self.num_taps, n_osc))
         self._phase_q = rng.uniform(-np.pi, np.pi, size=(self.num_taps, n_osc))

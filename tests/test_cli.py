@@ -84,10 +84,16 @@ def test_sweep_subcommand(tmp_path, fast_config):
     assert len(lines) > 1
 
 
-def test_complexity_subcommand(tmp_path):
+@pytest.mark.parametrize(
+    "d_range, exit_code", [("2:6:2", 0), ("5:7", 0), ("6", 2), ("6:2", 2)]
+)
+def test_complexity_subcommand(tmp_path, capsys, d_range, exit_code):
     out = tmp_path / "complexity.csv"
-    code = main(["complexity", "--out", str(out), "--d-range", "2:6:2"])
-    assert code == 0
+    assert main(["complexity", "--out", str(out), "--d-range", d_range]) == exit_code
+    if exit_code:
+        assert "bad range" in capsys.readouterr().err
+        assert not out.exists()
+        return
     lines = out.read_text().splitlines()
     # 8 algorithms x 3 rank values + header
     assert len(lines) == 1 + 8 * 3

@@ -157,28 +157,42 @@ class TestGradients:
             )
 
     def test_bit_identical_to_literal_coefficient_arithmetic(self):
-        """Both gradients equal, bit for bit, the scalar factor and matrix
-        parts written out in full, on states whose norm is not 1."""
+        """Both gradients equal, bit for bit, ``k S^H v`` and ``k v w^H``
+        written out in full, on states whose norm is not 1; and, within
+        1e-12 of the largest entry, the ``S^H r`` / ``S^H S w`` form."""
         rng = np.random.default_rng(7)
         for _ in range(50):
             S, w, r, b, rho = random_instance(rng, bounded=False)
-            z = S.conj().T @ r
             sw = S @ w
             n = np.vdot(sw, sw).real
             assert n != 1.0
+            xr = np.vdot(sw, r).real
+            coeff = (
+                -np.exp(-(xr * xr) / (2.0 * rho * rho * n))
+                * float(b)
+                / (2.0 * np.sqrt(2.0 * np.pi) * rho)
+            )
+            k = coeff / np.sqrt(n)
+            v = r - (xr / n) * sw
+            wc = w.conj()
+            expected_w = k * np.conj(np.conj(v) @ S)
+            expected_S = k * np.outer(v, wc)
+            g_w, g_S = gradient_w(S, w, r, b, rho), gradient_S(S, w, r, b, rho)
+            assert np.array_equal(g_w, expected_w)
+            assert np.array_equal(g_S, expected_S)
+            z = S.conj().T @ r
             xr = np.vdot(w, z).real
             coeff = (
                 -np.exp(-(xr * xr) / (2.0 * rho * rho * n))
                 * float(b)
                 / (2.0 * np.sqrt(2.0 * np.pi) * rho)
             )
-            wc = w.conj()
-            expected_w = coeff * (z / np.sqrt(n) - (xr / n**1.5) * (S.conj().T @ sw))
-            expected_S = coeff * (
+            z_form_w = coeff * (z / np.sqrt(n) - (xr / n**1.5) * (S.conj().T @ sw))
+            z_form_S = coeff * (
                 np.outer(r, wc) / np.sqrt(n) - (xr / n**1.5) * np.outer(sw, wc)
             )
-            assert np.array_equal(gradient_w(S, w, r, b, rho), expected_w)
-            assert np.array_equal(gradient_S(S, w, r, b, rho), expected_S)
+            for g, z_form in ((g_w, z_form_w), (g_S, z_form_S)):
+                assert np.abs(g - z_form).max() <= 1e-12 * np.abs(z_form).max()
 
     def test_zero_filter_rejected(self):
         S = np.eye(4, dtype=complex)

@@ -929,6 +929,32 @@ class TestEmitCsv:
         assert meta["config"]["rank_sweep"] == grid
         assert [row.axis_value for row in swept.rows] == grid
 
+    def test_sidecars_are_strict_json_with_infinite_config_numbers(self, tmp_path):
+        """``snr_db = inf``, an ``inf`` in ``snr_sweep`` and a ``-inf`` dB tap
+        are valid config; their sidecars must still parse as RFC 8259 JSON,
+        which has no ``Infinity``, and echo the text a config file gives them."""
+
+        def strict(text):
+            raise ValueError(f"non-JSON constant {text}")
+
+        cfg = dataclasses.replace(
+            FAST,
+            snr_db=math.inf,
+            power_profile_db=(0.0, -math.inf, -10.0),
+            snr_sweep=(10.0, math.inf),
+            detectors=("full_rank_lms",),
+            num_trials=1,
+        )
+        emit_csv(run_monte_carlo(cfg), tmp_path / "trace.csv")
+        emit_csv(sweep(cfg, axis="snr"), tmp_path / "sweep.csv")
+        for name in ("trace", "sweep"):
+            text = (tmp_path / f"{name}.csv.meta.json").read_text()
+            config = json.loads(text, parse_constant=strict)["config"]
+            assert config["snr_db"] == "inf"
+            assert config["power_profile_db"] == [0.0, "-inf", -10.0]
+            assert config["snr_sweep"] == [10.0, "inf"]
+            assert [float(p) for p in config["power_profile_db"]] == list(cfg.power_profile_db)
+
     def test_byte_identical_for_same_config_and_seed(self, tmp_path):
         path_a = tmp_path / "a.csv"
         path_b = tmp_path / "b.csv"
