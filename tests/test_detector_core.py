@@ -166,29 +166,25 @@ class TestGradients:
             sw = S @ w
             n = np.vdot(sw, sw).real
             assert n != 1.0
+
+            def coeff(xr):
+                return (
+                    -np.exp(-(xr * xr) / (2.0 * rho * rho * n))
+                    * float(b)
+                    / (2.0 * np.sqrt(2.0 * np.pi) * rho)
+                )
+
             xr = np.vdot(sw, r).real
-            coeff = (
-                -np.exp(-(xr * xr) / (2.0 * rho * rho * n))
-                * float(b)
-                / (2.0 * np.sqrt(2.0 * np.pi) * rho)
-            )
-            k = coeff / np.sqrt(n)
+            k = coeff(xr) / np.sqrt(n)
             v = r - (xr / n) * sw
             wc = w.conj()
-            expected_w = k * np.conj(np.conj(v) @ S)
-            expected_S = k * np.outer(v, wc)
             g_w, g_S = gradient_w(S, w, r, b, rho), gradient_S(S, w, r, b, rho)
-            assert np.array_equal(g_w, expected_w)
-            assert np.array_equal(g_S, expected_S)
+            assert np.array_equal(g_w, k * np.conj(np.conj(v) @ S))
+            assert np.array_equal(g_S, k * np.outer(v, wc))
             z = S.conj().T @ r
             xr = np.vdot(w, z).real
-            coeff = (
-                -np.exp(-(xr * xr) / (2.0 * rho * rho * n))
-                * float(b)
-                / (2.0 * np.sqrt(2.0 * np.pi) * rho)
-            )
-            z_form_w = coeff * (z / np.sqrt(n) - (xr / n**1.5) * (S.conj().T @ sw))
-            z_form_S = coeff * (
+            z_form_w = coeff(xr) * (z / np.sqrt(n) - (xr / n**1.5) * (S.conj().T @ sw))
+            z_form_S = coeff(xr) * (
                 np.outer(r, wc) / np.sqrt(n) - (xr / n**1.5) * np.outer(sw, wc)
             )
             for g, z_form in ((g_w, z_form_w), (g_S, z_form_S)):
