@@ -3,13 +3,16 @@
 Pure integer arithmetic; each algorithm row is a closed-form count of
 multiplications and additions per processed symbol in terms of the
 observation dimension M, rank D, inner cycles J, path count Lp and the
-maximum rank D_max of the automatic rank-selection variant.  The
+maximum rank D_max of the automatic rank-selection variant.  Each row is
+one function whose arguments are exactly the parameters that algorithm
+requires; ``op_count`` validates those and no others.  The
 eigendecomposition row only has an order-of-magnitude cost, reported as
 M**3 with the ``asymptotic`` flag set.
 """
 
 import csv
 import enum
+import inspect
 import itertools
 from dataclasses import dataclass, field
 
@@ -36,57 +39,33 @@ class OpCountReport:
     asymptotic: bool = False
 
 
-# multiplication/addition formulas per algorithm and the parameters each needs
+# (multiplications, additions) per algorithm
 _FORMULAS = {
-    Algorithm.FULL_RANK_LMS: (
-        ("M",),
-        lambda M, D, J, Lp, D_max: 2 * M + 1,
-        lambda M, D, J, Lp, D_max: 2 * M,
+    Algorithm.FULL_RANK_LMS: lambda M: (2 * M + 1, 2 * M),
+    Algorithm.FULL_RANK_MBER: lambda M: (4 * M + 1, 4 * M - 1),
+    Algorithm.MWF_LMS: lambda M, D: (
+        D * M**2 - M**2 + 2 * D * M + 4 * D + 1,
+        D * M**2 - M**2 + 3 * D - 2,
     ),
-    Algorithm.FULL_RANK_MBER: (
-        ("M",),
-        lambda M, D, J, Lp, D_max: 4 * M + 1,
-        lambda M, D, J, Lp, D_max: 4 * M - 1,
+    Algorithm.EIG: lambda M: (M**3, M**3),
+    Algorithm.JIO_LMS: lambda M, D: (
+        3 * D * M + M + 3 * D + 6,
+        2 * D * M + M + 4 * D - 2,
     ),
-    Algorithm.MWF_LMS: (
-        ("M", "D"),
-        lambda M, D, J, Lp, D_max: D * M**2 - M**2 + 2 * D * M + 4 * D + 1,
-        lambda M, D, J, Lp, D_max: D * M**2 - M**2 + 3 * D - 2,
+    Algorithm.MWF_MBER: lambda M, D, Lp: (
+        (D + 1) * M**2 + (3 * D + 1) * M + 3 * D + M * Lp + 10,
+        (D - 1) * M**2 + (2 * D - 1) * M + 2 * D + M * Lp + 1,
     ),
-    Algorithm.EIG: (
-        ("M",),
-        lambda M, D, J, Lp, D_max: M**3,
-        lambda M, D, J, Lp, D_max: M**3,
+    Algorithm.JIO_MBER: lambda M, D, J: (
+        6 * M * D * J + 5 * D * J + M * J + 11 * J,
+        5 * M * D * J + D * J - M * J - J,
     ),
-    Algorithm.JIO_LMS: (
-        ("M", "D"),
-        lambda M, D, J, Lp, D_max: 3 * D * M + M + 3 * D + 6,
-        lambda M, D, J, Lp, D_max: 2 * D * M + M + 4 * D - 2,
-    ),
-    Algorithm.MWF_MBER: (
-        ("M", "D", "Lp"),
-        lambda M, D, J, Lp, D_max: (D + 1) * M**2
-        + (3 * D + 1) * M
-        + 3 * D
-        + M * Lp
-        + 10,
-        lambda M, D, J, Lp, D_max: (D - 1) * M**2
-        + (2 * D - 1) * M
-        + 2 * D
-        + M * Lp
-        + 1,
-    ),
-    Algorithm.JIO_MBER: (
-        ("M", "D", "J"),
-        lambda M, D, J, Lp, D_max: 6 * M * D * J + 5 * D * J + M * J + 11 * J,
-        lambda M, D, J, Lp, D_max: 5 * M * D * J + D * J - M * J - J,
-    ),
-    Algorithm.JIO_MBER_AUTO: (
-        ("M", "D_max"),
-        lambda M, D, J, Lp, D_max: (6 * M + 5) * D_max + M + 11,
-        lambda M, D, J, Lp, D_max: (5 * M + 1) * D_max - M - 1,
+    Algorithm.JIO_MBER_AUTO: lambda M, D_max: (
+        (6 * M + 5) * D_max + M + 11,
+        (5 * M + 1) * D_max - M - 1,
     ),
 }
+_PARAMS = ("M", "D", "J", "Lp", "D_max")
 
 
 def op_count(
@@ -100,10 +79,10 @@ def op_count(
 ) -> OpCountReport:
     """Evaluate one algorithm's per-symbol multiplication/addition counts."""
     algorithm = Algorithm(algorithm)
-    required, mults, adds = _FORMULAS[algorithm]
+    formula = _FORMULAS[algorithm]
     supplied = {"M": M, "D": D, "J": J, "Lp": Lp, "D_max": D_max}
     params = {}
-    for name in required:
+    for name in inspect.signature(formula).parameters:
         value = supplied[name]
         if value is None:
             raise ConfigurationError(
@@ -115,11 +94,11 @@ def op_count(
                 field=name,
             )
         params[name] = int(value)
-    args = {name: params.get(name) for name in ("M", "D", "J", "Lp", "D_max")}
+    mults, adds = formula(**params)
     return OpCountReport(
         algorithm=algorithm,
-        multiplications=int(mults(**args)),
-        additions=int(adds(**args)),
+        multiplications=int(mults),
+        additions=int(adds),
         params=params,
         asymptotic=algorithm is Algorithm.EIG,
     )
@@ -130,31 +109,22 @@ def complexity_sweep(algorithms, param_grid: dict) -> list[OpCountReport]:
 
     ``param_grid`` maps parameter names (M, D, J, Lp, D_max) to value
     lists; every algorithm is evaluated at every grid point using the
-    parameters its row requires.
+    parameters its formula takes.
     """
     algorithms = [Algorithm(a) for a in algorithms]
     if not algorithms:
         raise ConfigurationError("need at least one algorithm")
     if not param_grid or any(len(list(v)) == 0 for v in param_grid.values()):
         raise ConfigurationError("parameter grid must be non-empty")
-    unknown = set(param_grid) - {"M", "D", "J", "Lp", "D_max"}
+    unknown = set(param_grid) - set(_PARAMS)
     if unknown:
         raise ConfigurationError(f"unknown grid parameters: {sorted(unknown)}")
     names = sorted(param_grid)
     reports = []
     for values in itertools.product(*(param_grid[n] for n in names)):
-        point = dict(zip(names, values))
+        point = dict.fromkeys(_PARAMS) | dict(zip(names, values))
         for algorithm in algorithms:
-            reports.append(
-                op_count(
-                    algorithm,
-                    M=point.get("M"),
-                    D=point.get("D"),
-                    J=point.get("J"),
-                    Lp=point.get("Lp"),
-                    D_max=point.get("D_max"),
-                )
-            )
+            reports.append(op_count(algorithm, **point))
     return reports
 
 
@@ -164,16 +134,7 @@ def write_complexity_csv(reports: list[OpCountReport], path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["algorithm", "M", "D", "J", "Lp", "Dmax", "mults", "adds"])
         for rep in reports:
-            p = rep.params
+            cells = [rep.params.get(name, "") for name in _PARAMS]
             writer.writerow(
-                [
-                    rep.algorithm.value,
-                    p.get("M", ""),
-                    p.get("D", ""),
-                    p.get("J", ""),
-                    p.get("Lp", ""),
-                    p.get("D_max", ""),
-                    rep.multiplications,
-                    rep.additions,
-                ]
+                [rep.algorithm.value, *cells, rep.multiplications, rep.additions]
             )

@@ -8,8 +8,9 @@ one decision per symbol.  The desired user is user 1 (index 0); the
 reference bit is its true bit for ``tr_symbols`` symbols and then None,
 meaning that a detector adapts on its own decisions.  Every decision is
 scored against ground truth.  Trials are averaged into per-symbol
-bit-error-rate traces; sweeps repeat the Monte Carlo run across an SNR,
-user-count or rank grid.
+bit-error-rate traces.  SNR and user-count sweeps repeat the Monte Carlo
+run at each grid point; the rank sweep runs every rank of its grid on one
+stream per trial.
 
 Noise level follows SNR (dB) = 10 log10(A1^2 / sigma^2) and the kernel
 radius is ``rho_multiplier * sigma`` (with ``rho_multiplier`` alone as a
@@ -122,7 +123,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
     if cfg.N not in _GOLD_DEGREES:
         bad("N", f"spreading gain must be one of {sorted(_GOLD_DEGREES)}, got {cfg.N}")
-    family_size = 2 ** _GOLD_DEGREES[cfg.N] + 2
+    family_size = len(_gold_family_cached(_GOLD_DEGREES[cfg.N]))
     if not 1 <= cfg.K <= family_size:
         bad("K", f"need 1 <= K <= {family_size}, got {cfg.K}")
     if cfg.Lp < 1 or cfg.Lp - 1 > cfg.N:
@@ -272,7 +273,7 @@ def _jio_auto(
     state's own decision when ``b`` is None) and appends it to ``chosen``."""
     avg = None
     for r, b in stream:
-        stat, xr, sw = _truncated_statistics(state, ranks, r, b)
+        stat, xr = _truncated_statistics(state, ranks, r, b)
         if averaging > 0.0:
             # extension: exponentially averaged error-probability metric
             p = q_function(stat / state.rho)
@@ -282,7 +283,7 @@ def _jio_auto(
             pick = int(np.argmax(stat))
         chosen.append(ranks.d_min + pick)
         decided = _decide(xr[pick])
-        _adapt(state, r, decided if b is None else b, sw)
+        _adapt(state, r, decided if b is None else b)
         yield decided
 
 

@@ -233,11 +233,10 @@ def _truncated_statistics(
     Keeping the first ``d`` filter taps and projection columns gives
     ``S_d w_d``, column ``d`` of the prefix sums of ``S w`` (no
     renormalization), and from it ``Re[x_d] = Re(r^H S_d w_d)`` and
-    ``n_d = ||S_d w_d||^2``.  Returns ``(stat, xr, sw)``: entry ``i`` of
+    ``n_d = ||S_d w_d||^2``.  Returns ``(stat, xr)``: entry ``i`` of
     ``stat`` is ``b Re[x_d] / sqrt(n_d)`` for ``d = d_min + i``, or 0 where
-    ``n_d`` vanishes; ``xr`` holds the same ``Re[x_d]``; ``sw = S w`` as
-    :func:`_cycle` forms it, which the last prefix sum does not match bit
-    for bit.  ``b=None`` takes the full state's own decision as reference.
+    ``n_d`` vanishes; ``xr`` holds the same ``Re[x_d]``.  ``b=None`` takes
+    the full state's own decision as reference.
     """
     D = state.w.shape[0]
     if cfg.d_max > D:
@@ -251,7 +250,7 @@ def _truncated_statistics(
     if b is None:
         b = 1 if x.real[D - 1] >= 0.0 else -1
     stat = np.where(valid, b * xr / np.sqrt(np.where(valid, nn, 1.0)), 0.0)
-    return stat, xr, state.S @ state.w
+    return stat, xr
 
 
 def select_rank(

@@ -64,12 +64,27 @@ class TestFormulaProperties:
                     assert rep.additions >= previous.additions
                 previous = rep
 
+    # (multiplications, additions, params, asymptotic) at M=33, D=6, J=5,
+    # Lp=3, D_max=20, recorded from the formulas as first written
+    GOLDEN = {
+        Algorithm.FULL_RANK_LMS: (67, 66, {"M": 33}, False),
+        Algorithm.FULL_RANK_MBER: (133, 131, {"M": 33}, False),
+        Algorithm.MWF_LMS: (5866, 5461, {"M": 33, "D": 6}, False),
+        Algorithm.EIG: (35937, 35937, {"M": 33}, True),
+        Algorithm.JIO_LMS: (651, 451, {"M": 33, "D": 6}, False),
+        Algorithm.MWF_MBER: (8377, 5920, {"M": 33, "D": 6, "Lp": 3}, False),
+        Algorithm.JIO_MBER: (6310, 4810, {"M": 33, "D": 6, "J": 5}, False),
+        Algorithm.JIO_MBER_AUTO: (4104, 3286, {"M": 33, "D_max": 20}, False),
+    }
+
     def test_counts_are_integers(self):
+        assert set(self.GOLDEN) == set(Algorithm)
         for algorithm in Algorithm:
             rep = op_count(algorithm, M=33, D=6, J=5, Lp=3, D_max=20)
             assert isinstance(rep.multiplications, int)
             assert isinstance(rep.additions, int)
-            assert rep.multiplications >= 0 and rep.additions >= 0
+            got = (rep.multiplications, rep.additions, rep.params, rep.asymptotic)
+            assert got == self.GOLDEN[algorithm], algorithm
 
     def test_missing_parameter_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -109,6 +124,11 @@ class TestSweep:
             complexity_sweep([Algorithm.JIO_MBER], {})
         with pytest.raises(ConfigurationError):
             complexity_sweep([], {"M": [33]})
+
+    def test_grid_without_required_parameter_rejected(self):
+        with pytest.raises(ConfigurationError) as err:
+            complexity_sweep([Algorithm.EIG], {"D": [2]})
+        assert err.value.field == "M"
 
     def test_unknown_grid_parameter_rejected(self):
         with pytest.raises(ConfigurationError):

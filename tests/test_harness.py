@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mberlink import harness
+from mberlink.cli import main as cli_main
 from mberlink.detector_core import q_function
 from mberlink.errors import ConfigParseError, ConfigurationError, NumericalError
 from mberlink.harness import (
@@ -293,6 +294,32 @@ class TestValidateConfig:
     def test_unsupported_gain(self):
         with pytest.raises(ConfigurationError):
             validate_config(dataclasses.replace(FAST, N=16))
+
+    @pytest.mark.parametrize(
+        "line, args",
+        [("K = 34", ["run"]), ("users_sweep = 2, 34", ["sweep", "--axis", "users"])],
+    )
+    def test_users_beyond_gold_family_exit_2_at_their_line(
+        self, tmp_path, capsys, line, args
+    ):
+        """N = 31 has 33 Gold codes; a 34th user used to pass validation and
+        then exit 3 on a tuple index out of range."""
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"tr_symbols = 5\n{line}\n")
+        out = tmp_path / "x.csv"
+        code = cli_main([*args, "--trials", "1", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert f"{path}:2:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, k_max", [(31, 33), (127, 129)])
+    def test_user_count_bounded_by_gold_family_size(self, n, k_max):
+        base = dataclasses.replace(FAST, N=n)
+        validate_config(dataclasses.replace(base, K=k_max, users_sweep=(1, k_max)))
+        for bad in ({"K": k_max + 1}, {"users_sweep": (k_max + 1,)}):
+            with pytest.raises(ConfigurationError) as err:
+                validate_config(dataclasses.replace(base, **bad))
+            assert err.value.field == next(iter(bad))
 
     @pytest.mark.parametrize("averaging", [-0.1, 1.0])
     def test_rank_averaging_must_lie_in_unit_interval(self, averaging):
