@@ -24,7 +24,6 @@ from .harness import (
 )
 from .jio_mber import (
     JioState,
-    Mode,
     RankSelectionConfig,
     init_state,
     jio_step,
@@ -52,7 +51,6 @@ __all__ = [
     "FullRankState",
     "JakesChannel",
     "JioState",
-    "Mode",
     "NumericalError",
     "OpCountReport",
     "RankSelectionConfig",

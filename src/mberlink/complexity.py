@@ -14,6 +14,7 @@ import csv
 import enum
 import inspect
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
@@ -88,12 +89,16 @@ def op_count(
             raise ConfigurationError(
                 f"{algorithm.value} requires parameter {name}", field=name
             )
-        if int(value) < 1:
+        try:
+            count = operator.index(value)
+        except TypeError:  # 3.7 is not a count; int() would truncate it
+            count = 0
+        if count < 1:
             raise ConfigurationError(
                 f"{algorithm.value}: {name} must be a positive integer, got {value}",
                 field=name,
             )
-        params[name] = int(value)
+        params[name] = count
     mults, adds = formula(**params)
     return OpCountReport(
         algorithm=algorithm,

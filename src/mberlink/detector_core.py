@@ -13,8 +13,7 @@ returned arrays are df/d(conj(z)), so the real/imaginary partials are
 
 Only numpy is imported with this module.  :func:`q_function` loads
 ``scipy.special.erfc`` on its first call, so scipy is paid for only by
-the Q-function, :func:`error_probability` and rank averaging in the
-harness.
+:func:`q_function` and :func:`error_probability`.
 """
 
 import math

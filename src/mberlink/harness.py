@@ -31,10 +31,9 @@ import numpy as np
 
 from ._version import __version__
 from .baselines import init_full_rank, lms_update, mber_full_rank_update
-from .detector_core import _decide, q_function
+from .detector_core import _decide
 from .errors import ConfigParseError, ConfigurationError, NumericalError
 from .jio_mber import (
-    Mode,
     RankSelectionConfig,
     _adapt,
     _truncated_statistics,
@@ -94,7 +93,6 @@ class ExperimentConfig:
     snr_sweep: tuple[float, ...] = (0.0, 2.5, 5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0)
     users_sweep: tuple[int, ...] = tuple(range(1, 17))
     rank_sweep: tuple[int, ...] = (2, 4, 6, 8, 10, 12, 16, 20)
-    rank_averaging: float = 0.0
     smoothing_window: int = 0
 
     @property
@@ -183,8 +181,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("users_sweep", f"user counts must lie in [1, {family_size}]")
     if any(not 1 <= d <= cfg.M for d in cfg.rank_sweep):
         bad("rank_sweep", f"ranks must lie in [1, M={cfg.M}]")
-    if not 0.0 <= cfg.rank_averaging < 1.0:
-        bad("rank_averaging", "rank_averaging must be in [0, 1)")
     if not 0 <= cfg.smoothing_window <= cfg.num_symbols:
         bad("smoothing_window", f"smoothing_window must lie in [0, {cfg.num_symbols}]")
 
@@ -261,26 +257,23 @@ def parse_config(path) -> ExperimentConfig:
 
 def _jio_fixed(state, stream):
     for r, b in stream:
-        state.mode = Mode.DECISION_DIRECTED if b is None else Mode.TRAINING
-        yield jio_step(state, r, b)[1]
+        yield jio_step(state, r, b)
 
 
-def _jio_auto(
-    state, ranks: RankSelectionConfig, averaging: float, stream, chosen: list
-):
+def _jio_auto(state, ranks: RankSelectionConfig, stream, chosen: list):
     """Adapts at D_max; detects at the per-symbol rank chosen by the rule
     of :func:`~mberlink.jio_mber.select_rank` (referenced to the D_max
-    state's own decision when ``b`` is None) and appends it to ``chosen``."""
-    avg = None
+    state's own decision when ``b`` is None) and appends it to ``chosen``.
+
+    In decision-directed operation the rule changes no decision: each is
+    the D_max state's own, so state and decisions are those of the fixed
+    detector at D = D_max, and criterion 6 compares D = 20 with D = 8 at
+    the defaults.  Training decisions use the true bit to pick the rank,
+    so the training-window BER trace is label-aided and cannot be
+    compared with the other detectors'."""
     for r, b in stream:
         stat, xr = _truncated_statistics(state, ranks, r, b)
-        if averaging > 0.0:
-            # extension: exponentially averaged error-probability metric
-            p = q_function(stat / state.rho)
-            avg = p if avg is None else averaging * avg + (1 - averaging) * p
-            pick = int(np.argmin(avg))
-        else:
-            pick = int(np.argmax(stat))
+        pick = int(np.argmax(stat))
         chosen.append(ranks.d_min + pick)
         decided = _decide(xr[pick])
         _adapt(state, r, decided if b is None else b)
@@ -305,7 +298,7 @@ def _detector(name: str, cfg: ExperimentConfig, rho: float, stream, chosen: list
     if name == "jio_mber_auto":
         state = init_state(cfg.M, cfg.D_max, cfg.mu_w, cfg.mu_S, cfg.J, rho)
         ranks = RankSelectionConfig(cfg.D_min, cfg.D_max)
-        return _jio_auto(state, ranks, cfg.rank_averaging, stream, chosen)
+        return _jio_auto(state, ranks, stream, chosen)
     if name == "full_rank_lms":
         return _full_rank(lms_update, init_full_rank(cfg.M, cfg.mu_lms), stream)
     return _full_rank(

@@ -30,7 +30,6 @@ at the maximum allowed rank, renormalizes, and picks the rank whose
 single-sample error-probability estimate is smallest.
 """
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -38,11 +37,6 @@ import numpy as np
 
 from .detector_core import _NORM_EPS, _SQRT_2PI, _decide, _mber_factor, _unit_norm
 from .errors import ConfigurationError, NumericalError
-
-
-class Mode(enum.Enum):
-    TRAINING = "training"
-    DECISION_DIRECTED = "decision_directed"
 
 
 @dataclass
@@ -56,7 +50,6 @@ class JioState:
     mu_S: float
     J: int
     rho: float
-    mode: Mode = Mode.TRAINING
     scaling_skipped: bool = field(default=False, repr=False)
 
 
@@ -77,7 +70,7 @@ class RankSelectionConfig:
 def init_state(
     M: int, D: int, mu_w: float, mu_S: float, J: int, rho: float
 ) -> JioState:
-    """Fresh state: S = [I_D; 0], w = 0, training mode."""
+    """Fresh state: S = [I_D; 0], w = 0."""
     if not 1 <= D <= M:
         raise ConfigurationError(f"need 1 <= D <= M, got D={D}, M={M}")
     if J < 1:
@@ -96,7 +89,6 @@ def init_state(
         mu_S=float(mu_S),
         J=int(J),
         rho=float(rho),
-        mode=Mode.TRAINING,
     )
 
 
@@ -144,30 +136,21 @@ def _adapt(state: JioState, r: np.ndarray, b: int, sw=None, xr=None) -> None:
     state.S, state.w, state.scaling_skipped = S, w, skipped
 
 
-def jio_step(
-    state: JioState, r: np.ndarray, b_known: int | None = None
-) -> tuple[JioState, int]:
-    """Detect the current symbol, then run the J adaptation cycles.
+def jio_step(state: JioState, r: np.ndarray, b_known: int | None = None) -> int:
+    """Detect the current symbol, run the J adaptation cycles and return
+    the decision.
 
-    The returned decision comes from the state as it stood before any
-    update.  In training mode ``b_known`` drives the updates; in
-    decision-directed mode the detector's own decision does and
-    ``b_known`` must be omitted.  A non-finite output raises
+    The decision comes from the state as it stood before any update.
+    ``b_known`` (training) drives the updates; None makes the detector's
+    own decision drive them (decision-directed operation), as in
+    :func:`stack_step`.  A non-finite output raises
     :class:`~mberlink.errors.NumericalError`.
     """
     sw = state.S @ state.w
     xr = float(np.vdot(sw, r).real)
     decided = _decide(xr)
-    if state.mode is Mode.TRAINING:
-        if b_known is None:
-            raise ValueError("training mode requires the true bit")
-        b = b_known
-    else:
-        if b_known is not None:
-            raise ValueError("decision-directed mode must not receive a bit")
-        b = decided
-    _adapt(state, r, b, sw, xr)
-    return state, decided
+    _adapt(state, r, decided if b_known is None else b_known, sw, xr)
+    return decided
 
 
 def init_stack(M: int, ranks, mu_w: float, mu_S: float, J: int, rho: float) -> JioState:
@@ -268,6 +251,13 @@ def select_rank(
     (pure confidence) proved unstable in decision-directed operation, as
     it lets an interference-dominated truncation hijack the decision
     feedback.  Ties break toward the smallest rank.
+
+    With ``b`` None and ``d_max`` the adapted rank, the maximum is at
+    least the full state's own ``|Re[x_D]| / sqrt(n_D)``, so the picked
+    truncation decides as the full state does (bar ties at 0 and
+    vanishing norms): the rank changes no decision-directed decision.
+    With a training bit the pick is label-aided, its decision right
+    whenever any truncation's is.
     """
     stat = _truncated_statistics(state, cfg, r, b)[0]
     return cfg.d_min + int(np.argmax(stat))

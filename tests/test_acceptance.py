@@ -167,13 +167,11 @@ def test_criterion_03_normalization_invariant():
     users = _build_users(cfg, trial_seed=cfg.base_seed)
     windows, bits = synthesize_arrays(users, cfg.num_symbols, sigma, cfg.base_seed)
     state = init_state(cfg.M, cfg.D, cfg.mu_w, cfg.mu_S, cfg.J, rho)
-    from mberlink.jio_mber import Mode
 
     start = time.perf_counter()
     worst = 0.0
     for i in range(cfg.num_symbols):
         training = i < cfg.tr_symbols
-        state.mode = Mode.TRAINING if training else Mode.DECISION_DIRECTED
         jio_step(state, windows[i], int(bits[i, 0]) if training else None)
         sw = state.S @ state.w
         worst = max(worst, abs(float(np.vdot(sw, sw).real) - 1.0))

@@ -98,6 +98,14 @@ class TestFormulaProperties:
         with pytest.raises(ConfigurationError):
             op_count(Algorithm.FULL_RANK_LMS, M=0)
 
+    @pytest.mark.parametrize("value", [3.7, 0.5])
+    def test_non_integer_parameter_rejected(self, value):
+        """A fractional count is refused, not truncated (3.7 counted as 3)."""
+        message = f"M must be a positive integer, got {value}"
+        with pytest.raises(ConfigurationError, match=message) as err:
+            op_count(Algorithm.EIG, M=value)
+        assert err.value.field == "M"
+
 
 class TestSweep:
     def test_single_cell_grid(self):

@@ -12,7 +12,6 @@ import pytest
 
 from mberlink import harness
 from mberlink.cli import main as cli_main
-from mberlink.detector_core import q_function
 from mberlink.errors import ConfigParseError, ConfigurationError, NumericalError
 from mberlink.harness import (
     DETECTOR_NAMES,
@@ -32,7 +31,7 @@ from mberlink.harness import (
 )
 from mberlink.baselines import init_full_rank
 from mberlink.harness import _build_users
-from mberlink.jio_mber import RankSelectionConfig, _adapt, init_state
+from mberlink.jio_mber import RankSelectionConfig, _adapt, init_state, jio_step
 from mberlink.signal_model import synthesize_arrays
 
 def _references(cfg, bits):
@@ -171,7 +170,6 @@ class TestParseConfig:
             "snr_sweep = 5, 10\n"
             "users_sweep = 2, 4,\n"
             "rank_sweep = 3,, 5\n"
-            "rank_averaging = 0.3\n"
             "smoothing_window = 5\n"
         )
         expected = ExperimentConfig(
@@ -199,7 +197,6 @@ class TestParseConfig:
             snr_sweep=(5.0, 10.0),
             users_sweep=(2, 4),
             rank_sweep=(3, 5),
-            rank_averaging=0.3,
             smoothing_window=5,
         )
         default = ExperimentConfig()
@@ -320,12 +317,6 @@ class TestValidateConfig:
             with pytest.raises(ConfigurationError) as err:
                 validate_config(dataclasses.replace(base, **bad))
             assert err.value.field == next(iter(bad))
-
-    @pytest.mark.parametrize("averaging", [-0.1, 1.0])
-    def test_rank_averaging_must_lie_in_unit_interval(self, averaging):
-        with pytest.raises(ConfigurationError) as err:
-            validate_config(dataclasses.replace(FAST, rank_averaging=averaging))
-        assert err.value.field == "rank_averaging"
 
     def test_smoothing_window_longer_than_trace_rejected(self, tmp_path):
         """A window beyond the 10 symbols would make emit_csv write 25
@@ -481,10 +472,10 @@ class TestRunTrial:
         assert got == recorded["trials"]
 
 
-def _two_pass_auto_step(state, ranks, averaging, avg, r, true_bit, training):
+def _two_pass_auto_step(state, ranks, r, true_bit, training):
     """The auto detector's step with ``S^H r`` computed twice: once for the
     truncated (prefix-sum) statistics and again in the first adaptation
-    cycle.  Returns the decision, the chosen rank and the averaged metric."""
+    cycle.  Returns the decision and the chosen rank."""
     lo = ranks.d_min - 1
     x = np.cumsum(state.w.conj() * (state.S.conj().T @ r))
     sw = np.cumsum(state.S * state.w[None, :], axis=1)
@@ -497,28 +488,21 @@ def _two_pass_auto_step(state, ranks, averaging, avg, r, true_bit, training):
     else:
         reference = 1 if x.real[state.w.shape[0] - 1] >= 0.0 else -1
     stat = np.where(valid, reference * xr / np.sqrt(np.where(valid, nn, 1.0)), 0.0)
-    if averaging > 0.0:
-        p = q_function(stat / state.rho)
-        avg = p if avg is None else averaging * avg + (1 - averaging) * p
-        pick = int(np.argmin(avg))
-    else:
-        pick = int(np.argmax(stat))
+    pick = int(np.argmax(stat))
     decided = 1 if xr[pick] >= 0.0 else -1
     _adapt(state, r, true_bit if training else decided)
-    return decided, ranks.d_min + pick, avg
+    return decided, ranks.d_min + pick
 
 
 class TestAutoAdapterReusedProjection:
     @pytest.mark.parametrize("j", [1, 5])
-    @pytest.mark.parametrize("averaging", [0.0, 0.5])
-    def test_bit_identical_to_two_pass_step(self, j, averaging):
+    def test_bit_identical_to_two_pass_step(self, j):
         """Handing the statistics' S^H r to the first cycle changes nothing:
         S, w, the scaling flag, rank and decision agree bit for bit at every
         symbol, through training and then decision-directed operation."""
         cfg = dataclasses.replace(
             ExperimentConfig(),
             J=j,
-            rank_averaging=averaging,
             tr_symbols=80,
             dd_symbols=160,
         )
@@ -533,19 +517,39 @@ class TestAutoAdapterReusedProjection:
         two_pass = copy.deepcopy(state)
         refs = _references(cfg, bits)
         chosen = []
-        reused = _jio_auto(state, ranks, averaging, zip(windows, refs), chosen)
-        avg = None
+        reused = _jio_auto(state, ranks, zip(windows, refs), chosen)
         for i in range(cfg.num_symbols):
             decided = next(reused)
-            expected, rank, avg = _two_pass_auto_step(
-                two_pass, ranks, averaging, avg,
-                windows[i], int(bits[i, 0]), i < cfg.tr_symbols,
+            expected, rank = _two_pass_auto_step(
+                two_pass, ranks, windows[i], int(bits[i, 0]), i < cfg.tr_symbols
             )
             assert decided == expected, i
             assert chosen[i] == rank, i
             assert np.array_equal(state.S, two_pass.S), i
             assert np.array_equal(state.w, two_pass.w), i
             assert state.scaling_skipped == two_pass.scaling_skipped, i
+
+
+class TestAutoDetectorFollowsMaxRankState:
+    @pytest.mark.parametrize("seed", [1234, 1240])
+    def test_equals_jio_step_at_d_max(self, seed):
+        """Over a full default trial (seed 1240 is a failed trial), the
+        auto detector's S and w equal those of a jio_step state at D_max
+        bit for bit after every symbol, and every decision-directed
+        decision is that state's own.  Training decisions may differ,
+        because there the true bit picks the rank."""
+        cfg = ExperimentConfig()
+        rho, windows, _, refs, _ = harness._synthesize(cfg, seed)
+        auto = init_state(cfg.M, cfg.D_max, cfg.mu_w, cfg.mu_S, cfg.J, rho)
+        fixed = copy.deepcopy(auto)
+        ranks = RankSelectionConfig(cfg.D_min, cfg.D_max)
+        detector = _jio_auto(auto, ranks, zip(windows, refs), [])
+        for i, (r, b) in enumerate(zip(windows, refs)):
+            decided = next(detector)
+            expected = jio_step(fixed, r, b)
+            assert b is not None or decided == expected, i
+            assert np.array_equal(auto.S, fixed.S), i
+            assert np.array_equal(auto.w, fixed.w), i
 
 
 def _two_vdot_lms_update(state, r, b):

@@ -20,7 +20,6 @@ from mberlink.detector_core import (
 from mberlink.errors import ConfigurationError, NumericalError
 from mberlink.jio_mber import (
     JioState,
-    Mode,
     RankSelectionConfig,
     _cycle,
     _truncated_statistics,
@@ -65,7 +64,6 @@ class TestInitState:
         expected = np.array([[1, 0], [0, 1], [0, 0], [0, 0], [0, 0]], dtype=complex)
         assert np.array_equal(state.S, expected)
         assert np.array_equal(state.w, np.zeros(2, dtype=complex))
-        assert state.mode is Mode.TRAINING
 
     def test_full_rank_gives_identity(self):
         state = init_state(4, 4, 0.1, 0.1, 1, 1.0)
@@ -198,8 +196,8 @@ class TestJioStep:
         state1.J = 1
         r, b = random_sample(rng, 6)
         jio_step(state2, r, b)
-        _, dec_a = jio_step(state1, r, b)
-        _, dec_b = jio_step(state1, r, b)
+        dec_a = jio_step(state1, r, b)
+        dec_b = jio_step(state1, r, b)
         np.testing.assert_allclose(state1.w, state2.w, rtol=0, atol=1e-13)
         np.testing.assert_allclose(state1.S, state2.S, rtol=0, atol=1e-13)
         assert dec_a == dec_b
@@ -212,7 +210,7 @@ class TestJioStep:
         for _ in range(10):
             r, b = random_sample(rng, 6)
             expected = 1 if np.vdot(state.w, state.S.conj().T @ r).real >= 0 else -1
-            _, decided = jio_step(state, r, b)
+            decided = jio_step(state, r, b)
             assert decided == expected
             np.testing.assert_allclose(state.w, frozen_w, rtol=0, atol=1e-12)
             assert np.array_equal(state.S, frozen_S)
@@ -225,17 +223,6 @@ class TestJioStep:
         assert not state.scaling_skipped
         sw = state.S @ state.w
         assert np.vdot(sw, sw).real == pytest.approx(1.0, abs=1e-10)
-
-    def test_training_mode_requires_bit(self):
-        state = init_state(4, 2, 0.1, 0.1, 1, 1.0)
-        with pytest.raises(ValueError):
-            jio_step(state, np.ones(4, dtype=complex), None)
-
-    def test_dd_mode_rejects_bit(self):
-        state = init_state(4, 2, 0.1, 0.1, 1, 1.0)
-        state.mode = Mode.DECISION_DIRECTED
-        with pytest.raises(ValueError):
-            jio_step(state, np.ones(4, dtype=complex), 1)
 
     def test_joint_negation_invariance_in_training(self):
         rng = np.random.default_rng(13)
@@ -516,8 +503,6 @@ class TestFusedCycles:
                     s.w = np.zeros_like(s.w)
             if i < 3 or i == 150:
                 r = zero
-            for s in states:
-                s.mode = Mode.TRAINING if training else Mode.DECISION_DIRECTED
             yield i, r, int(bits[0]) if training else None
 
     @pytest.mark.parametrize("d", [1, 8, 20, 33])
@@ -530,7 +515,7 @@ class TestFusedCycles:
         composed = copy.deepcopy(fused)
         reference = copy.deepcopy(fused)
         for i, r, b_known in self._symbols(rng, (fused, composed, reference)):
-            _, decided = jio_step(fused, r, b_known)
+            decided = jio_step(fused, r, b_known)
             expected = _own_decision(composed, r)
             assert decided == expected
             b = expected if b_known is None else b_known
@@ -563,7 +548,7 @@ class TestFusedCycles:
         fused = init_state(self.M, d, 0.05, 0.05, j, 0.35)
         two_outer = copy.deepcopy(fused)
         for i, r, b_known in self._symbols(rng, (fused, two_outer)):
-            _, decided = jio_step(fused, r, b_known)
+            decided = jio_step(fused, r, b_known)
             expected = _own_decision(two_outer, r)
             assert decided == expected, i
             b = expected if b_known is None else b_known
@@ -597,8 +582,7 @@ class TestStackStep:
             b_known = int(bits[0]) if training else None
             decided = stack_step(stack, ranks, r, b_known)
             for p, (d, state) in enumerate(zip(ranks, states)):
-                state.mode = Mode.TRAINING if training else Mode.DECISION_DIRECTED
-                assert decided[p] == jio_step(state, r, b_known)[1], (i, p)
+                assert decided[p] == jio_step(state, r, b_known), (i, p)
                 S, w = stack.S[p, :, :d], stack.w[p, :d]
                 assert not stack.S[p, :, d:].any() and not stack.w[p, d:].any(), (i, p)
                 if d == d_max:

@@ -6,7 +6,6 @@ never calls it) and the harness imports its process pool only for
 that the lazily bound Q-function is the very same scipy evaluation.
 """
 
-import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +15,6 @@ import scipy.special
 
 import mberlink
 from mberlink.detector_core import q_function
-from mberlink.harness import ExperimentConfig, run_trial
 
 _GUARD = """
 import dataclasses, sys
@@ -57,16 +55,3 @@ def test_q_function_bit_equal_to_scipy():
     for x in GRID:
         assert q_function(float(x)) == _scipy_q(float(x)), x
 
-
-def test_rank_averaging_trial_still_runs():
-    cfg = dataclasses.replace(
-        ExperimentConfig(),
-        rank_averaging=0.5,
-        tr_symbols=30,
-        dd_symbols=60,
-        detectors=("jio_mber_auto",),
-    )
-    result = run_trial(cfg, cfg.base_seed)
-    ranks = result.selected_ranks["jio_mber_auto"]
-    assert ranks.shape == (cfg.num_symbols,)
-    assert ranks.min() >= cfg.D_min and ranks.max() <= cfg.D_max
