@@ -4,8 +4,6 @@ from ._version import __version__
 from .baselines import FullRankState, init_full_rank, lms_update, mber_full_rank_update
 from .complexity import Algorithm, OpCountReport, complexity_sweep, op_count
 from .detector_core import (
-    DecisionStatistic,
-    decision_statistic,
     error_probability,
     gradient_S,
     gradient_w,
@@ -45,7 +43,6 @@ __all__ = [
     "Algorithm",
     "ConfigParseError",
     "ConfigurationError",
-    "DecisionStatistic",
     "ExperimentConfig",
     "ExperimentResult",
     "FullRankState",
@@ -59,7 +56,6 @@ __all__ = [
     "UserConfig",
     "build_convolution_matrix",
     "complexity_sweep",
-    "decision_statistic",
     "emit_csv",
     "error_probability",
     "generate_gold_family",

@@ -97,13 +97,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _parse_range(text: str) -> range:
-    parts = [int(tok) for tok in text.split(":")]
-    if len(parts) == 2:
-        lo, hi, step = parts[0], parts[1], 1
-    elif len(parts) == 3:
-        lo, hi, step = parts
-    else:
-        raise ConfigurationError(f"bad range {text!r}, expected LO:HI[:STEP]")
+    try:
+        lo, hi, *step = [int(tok) for tok in text.split(":")]
+        (step,) = step or [1]
+    except ValueError:
+        raise ConfigurationError(f"bad range {text!r}, expected LO:HI[:STEP]") from None
     if lo < 1 or hi < lo or step < 1:
         raise ConfigurationError(f"bad range {text!r}")
     return range(lo, hi + 1, step)

@@ -10,42 +10,26 @@ Gradient convention: for a real cost f of complex variables, the
 returned arrays are df/d(conj(z)), so the real/imaginary partials are
 ``2*Re`` and ``2*Im`` of the returned entries and a descent step is
 ``z - mu * gradient``.
-
-Only numpy is imported with this module.  :func:`q_function` loads
-``scipy.special.erfc`` on its first call, so scipy is paid for only by
-:func:`q_function` and :func:`error_probability`.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
 
 _SQRT2 = np.sqrt(2.0)
+# Q's erfc, element by element from the standard library
+_erfc = np.vectorize(math.erfc, otypes=[float])
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # squared filter norms below this count as zero (no scaling, no gradient)
 _NORM_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class DecisionStatistic:
-    """Filter output ``x`` and the bit-aligned real part sign{b}*Re[x]."""
-
-    x: complex
-    signed_real: float
 
 
 def _check_bit(b: int) -> float:
     if b not in (-1, 1):
         raise ValueError(f"bit must be -1 or +1, got {b!r}")
     return float(b)
-
-
-def decision_statistic(x: complex, bit: int) -> DecisionStatistic:
-    """Statistic for a known (training or decided) bit."""
-    return DecisionStatistic(x=complex(x), signed_real=_check_bit(bit) * complex(x).real)
 
 
 def _decide(x_real: float) -> int:
@@ -56,19 +40,20 @@ def _decide(x_real: float) -> int:
 
 
 def q_function(x):
-    """Gaussian tail probability Q(x) = P(Z > x), Z standard normal."""
-    from scipy.special import erfc  # imported here: only Q needs scipy
+    """Gaussian tail probability Q(x) = P(Z > x), Z standard normal: a
+    ``numpy.float64`` for a scalar, an array of the same shape for an array."""
+    return 0.5 * _erfc(x / _SQRT2)
 
-    return 0.5 * erfc(x / _SQRT2)
 
-
-def error_probability(stat: DecisionStatistic, norm_sq: float, rho: float) -> float:
-    """Kernel-smoothed bit error probability Q(sign{b}Re[x] / (rho sqrt(norm_sq)))."""
+def error_probability(x: complex, b: int, norm_sq: float, rho: float) -> float:
+    """Kernel-smoothed bit error probability Q(b Re[x] / (rho sqrt(norm_sq)))
+    of output ``x`` for the known (training or decided) bit ``b``."""
+    sign_b = _check_bit(b)
     if not norm_sq > 0:
         raise ValueError(f"norm_sq must be positive, got {norm_sq}")
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    return float(q_function(stat.signed_real / (rho * np.sqrt(norm_sq))))
+    return float(q_function(sign_b * complex(x).real / (rho * np.sqrt(norm_sq))))
 
 
 def _mber_factor(xr, b, rho, n=1.0):

@@ -175,6 +175,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for grid_key, _ in _SWEEP_AXES.values():
         if not getattr(cfg, grid_key):
             bad(grid_key, f"{grid_key} is an empty grid; list at least one point")
+    for key in ("detectors", *(grid_key for grid_key, _ in _SWEEP_AXES.values())):
+        entries = getattr(cfg, key)
+        if len(set(entries)) < len(entries):
+            bad(key, f"{key} repeats an entry: {entries}")
     if not all(_noise_computable(cfg, v) for v in cfg.snr_sweep):
         bad("snr_sweep", "SNRs in snr_sweep must be numbers (not NaN) with a noise level")
     if any(not 1 <= k <= family_size for k in cfg.users_sweep):

@@ -16,7 +16,6 @@ import pytest
 from mberlink.baselines import FullRankState, mber_full_rank_update
 from mberlink.complexity import Algorithm, op_count
 from mberlink.detector_core import (
-    decision_statistic,
     error_probability,
     gradient_S,
     gradient_w,
@@ -98,9 +97,7 @@ def test_criterion_02_gradient_fidelity():
     def pipeline(S, w, r, b, rho):
         x = complex(np.vdot(w, S.conj().T @ r))
         sw = S @ w
-        return error_probability(
-            decision_statistic(x, b), float(np.vdot(sw, sw).real), rho
-        )
+        return error_probability(x, b, float(np.vdot(sw, sw).real), rho)
 
     rng = np.random.default_rng(20150409)
     h = 1e-6

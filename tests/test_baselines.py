@@ -9,7 +9,7 @@ from mberlink.baselines import (
     lms_update,
     mber_full_rank_update,
 )
-from mberlink.detector_core import decision_statistic, error_probability
+from mberlink.detector_core import error_probability
 from mberlink.jio_mber import JioState, scale_filter, update_filter
 from mberlink.signal_model import SpreadingCode, UserConfig, synthesize_arrays
 from static_channel import StaticChannel
@@ -122,10 +122,9 @@ class TestMberFullRank:
             b = int(rng.choice([-1, 1]))
 
             def estimate(weights):
-                stat = decision_statistic(complex(np.vdot(weights, r)), b)
-                return error_probability(
-                    stat, float(np.vdot(weights, weights).real), state.rho
-                )
+                x = complex(np.vdot(weights, r))
+                norm_sq = float(np.vdot(weights, weights).real)
+                return error_probability(x, b, norm_sq, state.rho)
 
             before = estimate(state.w)
             w_prev = state.w.copy()

@@ -85,7 +85,8 @@ def test_sweep_subcommand(tmp_path, fast_config):
 
 
 @pytest.mark.parametrize(
-    "d_range, exit_code", [("2:6:2", 0), ("5:7", 0), ("6", 2), ("6:2", 2)]
+    "d_range, exit_code",
+    [("2:6:2", 0), ("5:7", 0), ("6", 2), ("6:2", 2), ("2:x", 2), ("2::1", 2)],
 )
 def test_complexity_subcommand(tmp_path, capsys, d_range, exit_code):
     out = tmp_path / "complexity.csv"

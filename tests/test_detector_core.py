@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mberlink.detector_core import (
     _decide,
-    decision_statistic,
     error_probability,
     gradient_S,
     gradient_w,
@@ -49,7 +48,7 @@ def pipeline_error(S, w, r, b, rho):
     """Error probability of the full pipeline, recomputed from scratch."""
     x = complex(np.vdot(w, S.conj().T @ r))
     sw = S @ w
-    return error_probability(decision_statistic(x, b), np.vdot(sw, sw).real, rho)
+    return error_probability(x, b, np.vdot(sw, sw).real, rho)
 
 
 class TestFilterAndDecide:
@@ -84,29 +83,32 @@ class TestQFunction:
 
 class TestErrorProbability:
     def test_zero_statistic_is_half(self):
-        stat = decision_statistic(0.0 + 3.0j, 1)
-        assert error_probability(stat, 5.0, 0.1) == pytest.approx(0.5, abs=1e-15)
+        assert error_probability(0.0 + 3.0j, 1, 5.0, 0.1) == pytest.approx(0.5, abs=1e-15)
 
     def test_known_value(self):
-        stat = decision_statistic(0.7 + 0j, 1)
-        assert error_probability(stat, 1.0, 0.7) == pytest.approx(Q_OF_ONE, abs=1e-13)
+        assert error_probability(0.7 + 0j, 1, 1.0, 0.7) == pytest.approx(Q_OF_ONE, abs=1e-13)
 
     def test_joint_flip_invariance(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = complex(rng.standard_normal() + 1j * rng.standard_normal())
             n, rho = float(rng.uniform(0.1, 3)), float(rng.uniform(0.1, 2))
-            p1 = error_probability(decision_statistic(x, 1), n, rho)
-            p2 = error_probability(decision_statistic(-x, -1), n, rho)
+            p1 = error_probability(x, 1, n, rho)
+            p2 = error_probability(-x, -1, n, rho)
             assert p1 == p2
 
     def test_strictly_decreasing_in_signed_statistic(self):
         values = np.linspace(-4, 4, 41)
-        probs = [
-            error_probability(decision_statistic(complex(v), 1), 1.3, 0.6)
-            for v in values
-        ]
+        probs = [error_probability(complex(v), 1, 1.3, 0.6) for v in values]
         assert all(a > b for a, b in zip(probs, probs[1:]))
+
+    @pytest.mark.parametrize(
+        "b, norm_sq, rho, message",
+        [(0, 0.0, 0.0, "bit"), (1, 0.0, 0.0, "norm_sq"), (-1, 1.0, 0.0, "rho")],
+    )
+    def test_checks_bit_then_norm_then_rho(self, b, norm_sq, rho, message):
+        with pytest.raises(ValueError, match=message):
+            error_probability(1.0 + 0j, b, norm_sq, rho)
 
     @settings(deadline=None, max_examples=40)
     @given(

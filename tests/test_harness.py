@@ -135,6 +135,25 @@ class TestParseConfig:
         assert err.value.line == 1
         assert "users_sweep is an empty grid" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "detectors = full_rank_lms, full_rank_lms",
+            "snr_sweep = 10, 15, 10.0",
+            "users_sweep = 2, 2",
+            "rank_sweep = 3, 4, 3",
+        ],
+    )
+    def test_repeated_entry_rejected(self, tmp_path, line):
+        """A repeated detector used to run twice and print twice; a repeated
+        grid point repeated its CSV rows."""
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"K = 3\n{line}\n")
+        with pytest.raises(ConfigParseError) as err:
+            parse_config(path)
+        assert err.value.line == 2
+        assert f"{line.split()[0]} repeats an entry" in str(err.value)
+
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("mu_w = fast\n")

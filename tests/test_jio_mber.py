@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from mberlink.detector_core import (
     _unit_norm,
-    decision_statistic,
     error_probability,
     gradient_S,
     gradient_w,
@@ -55,7 +54,7 @@ def _projection_step(state, r, b):
 def state_error(state, r, b):
     sw = state.S @ state.w
     x = complex(np.vdot(state.w, state.S.conj().T @ r))
-    return error_probability(decision_statistic(x, b), np.vdot(sw, sw).real, state.rho)
+    return error_probability(x, b, np.vdot(sw, sw).real, state.rho)
 
 
 class TestInitState:

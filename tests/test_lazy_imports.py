@@ -1,17 +1,17 @@
 """Import-path guard: a default run loads numpy and mberlink only.
 
-``q_function`` binds ``scipy.special.erfc`` on first use (``select_rank``
-never calls it) and the harness imports its process pool only for
-``jobs > 1``; these tests pin both, and
-that the lazily bound Q-function is the very same scipy evaluation.
+mberlink needs no scipy: ``q_function`` is the standard library's
+``math.erfc``, and the harness imports its process pool only for
+``jobs > 1``.  These tests pin the run path's imports, and pin the
+Q-function bit for bit to ``0.5 * math.erfc(x / math.sqrt(2))``.
 """
 
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.special
 
 import mberlink
 from mberlink.detector_core import q_function
@@ -46,12 +46,13 @@ def test_default_run_loads_neither_scipy_nor_process_pool():
 GRID = np.arange(-32, 33) * 0.25
 
 
-def _scipy_q(x):
-    return 0.5 * scipy.special.erfc(x / np.sqrt(2.0))
+def _stdlib_q(x):
+    return 0.5 * math.erfc(x / math.sqrt(2))
 
 
-def test_q_function_bit_equal_to_scipy():
-    assert np.array_equal(q_function(GRID), _scipy_q(GRID))
+def test_q_function_bit_equal_to_stdlib():
+    assert np.array_equal(q_function(GRID), [_stdlib_q(float(x)) for x in GRID])
     for x in GRID:
-        assert q_function(float(x)) == _scipy_q(float(x)), x
-
+        q = q_function(float(x))
+        assert type(q) is np.float64 and q == _stdlib_q(float(x)), x
+    assert q_function(GRID.reshape(5, 13)).shape == (5, 13)
