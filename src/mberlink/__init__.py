@@ -22,11 +22,10 @@ from .harness import (
 )
 from .jio_mber import (
     JioState,
-    RankSelectionConfig,
+    auto_step,
     init_state,
     jio_step,
     scale_filter,
-    select_rank,
     update_filter,
 )
 from .signal_model import (
@@ -50,10 +49,10 @@ __all__ = [
     "JioState",
     "NumericalError",
     "OpCountReport",
-    "RankSelectionConfig",
     "SpreadingCode",
     "SweepResult",
     "UserConfig",
+    "auto_step",
     "build_convolution_matrix",
     "complexity_sweep",
     "emit_csv",
@@ -72,7 +71,6 @@ __all__ = [
     "run_monte_carlo",
     "run_trial",
     "scale_filter",
-    "select_rank",
     "sweep",
     "synthesize_arrays",
     "update_filter",

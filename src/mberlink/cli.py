@@ -8,6 +8,8 @@ operation-count table).  Exit codes: 0 success, 2 configuration error,
 
 import argparse
 import dataclasses
+import errno
+import os
 import sys
 
 from . import harness
@@ -75,8 +77,16 @@ def _load_config(args) -> harness.ExperimentConfig:
     return cfg
 
 
+def _check_out_dir(path: str) -> None:
+    """Fail before any trial runs when the directory of ``path`` is missing."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(errno.ENOENT, "no such directory", directory)
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
+    _check_out_dir(args.out)
     result = harness.run_monte_carlo(cfg, jobs=args.jobs)
     harness.emit_csv(result, args.out)
     print(f"wrote {args.out} ({result.config.num_trials} trials, {result.wall_time_s:.1f}s)")
@@ -90,6 +100,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
+    _check_out_dir(args.out)
     result = harness.sweep(cfg, axis=args.axis, jobs=args.jobs)
     harness.emit_csv(result, args.out)
     print(f"wrote {args.out} ({len(result.rows)} rows, {result.wall_time_s:.1f}s)")

@@ -5,7 +5,8 @@ multiplications and additions per processed symbol in terms of the
 observation dimension M, rank D, inner cycles J, path count Lp and the
 maximum rank D_max of the automatic rank-selection variant.  Each row is
 one function whose arguments are exactly the parameters that algorithm
-requires; ``op_count`` validates those and no others.  The
+requires; ``op_count`` validates those and no others, and refuses a
+rank (D or D_max) above M.  The
 eigendecomposition row only has an order-of-magnitude cost, reported as
 M**3 with the ``asymptotic`` flag set.
 """
@@ -96,6 +97,11 @@ def op_count(
         if count < 1:
             raise ConfigurationError(
                 f"{algorithm.value}: {name} must be a positive integer, got {value}",
+                field=name,
+            )
+        if name in ("D", "D_max") and count > params["M"]:  # every formula takes M first
+            raise ConfigurationError(
+                f"{algorithm.value}: {name} must not exceed M={params['M']}, got {count}",
                 field=name,
             )
         params[name] = count

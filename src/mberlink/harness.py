@@ -33,15 +33,7 @@ from ._version import __version__
 from .baselines import init_full_rank, lms_update, mber_full_rank_update
 from .detector_core import _decide
 from .errors import ConfigParseError, ConfigurationError, NumericalError
-from .jio_mber import (
-    RankSelectionConfig,
-    _adapt,
-    _truncated_statistics,
-    init_stack,
-    init_state,
-    jio_step,
-    stack_step,
-)
+from .jio_mber import auto_step, init_stack, init_state, jio_step, stack_step
 from .signal_model import JakesChannel, UserConfig, generate_gold_family, synthesize_arrays
 
 DETECTOR_NAMES = (
@@ -264,23 +256,12 @@ def _jio_fixed(state, stream):
         yield jio_step(state, r, b)
 
 
-def _jio_auto(state, ranks: RankSelectionConfig, stream, chosen: list):
-    """Adapts at D_max; detects at the per-symbol rank chosen by the rule
-    of :func:`~mberlink.jio_mber.select_rank` (referenced to the D_max
-    state's own decision when ``b`` is None) and appends it to ``chosen``.
-
-    In decision-directed operation the rule changes no decision: each is
-    the D_max state's own, so state and decisions are those of the fixed
-    detector at D = D_max, and criterion 6 compares D = 20 with D = 8 at
-    the defaults.  Training decisions use the true bit to pick the rank,
-    so the training-window BER trace is label-aided and cannot be
-    compared with the other detectors'."""
+def _jio_auto(state, d_min: int, stream, chosen: list):
+    """:func:`~mberlink.jio_mber.auto_step` on each symbol; appends the
+    chosen rank to ``chosen``."""
     for r, b in stream:
-        stat, xr = _truncated_statistics(state, ranks, r, b)
-        pick = int(np.argmax(stat))
-        chosen.append(ranks.d_min + pick)
-        decided = _decide(xr[pick])
-        _adapt(state, r, decided if b is None else b)
+        decided, rank = auto_step(state, d_min, r, b)
+        chosen.append(rank)
         yield decided
 
 
@@ -301,8 +282,7 @@ def _detector(name: str, cfg: ExperimentConfig, rho: float, stream, chosen: list
         return _jio_fixed(state, stream)
     if name == "jio_mber_auto":
         state = init_state(cfg.M, cfg.D_max, cfg.mu_w, cfg.mu_S, cfg.J, rho)
-        ranks = RankSelectionConfig(cfg.D_min, cfg.D_max)
-        return _jio_auto(state, ranks, stream, chosen)
+        return _jio_auto(state, cfg.D_min, stream, chosen)
     if name == "full_rank_lms":
         return _full_rank(lms_update, init_full_rank(cfg.M, cfg.mu_lms), stream)
     return _full_rank(

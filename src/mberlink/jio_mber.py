@@ -25,9 +25,10 @@ instead of passing as near zero.
 one stream at once, zero-padded to the largest rank (the rank sweep);
 one state alone is faster through :func:`jio_step`.
 
-Rank selection truncates the leading columns/entries of a state adapted
-at the maximum allowed rank, renormalizes, and picks the rank whose
-single-sample error-probability estimate is smallest.
+:func:`auto_step` selects the rank: it truncates the leading
+columns/entries of a state adapted at the maximum allowed rank,
+renormalizes, detects at the rank whose single-sample error-probability
+estimate is smallest, and adapts the full state as :func:`jio_step` does.
 """
 
 import math
@@ -51,20 +52,6 @@ class JioState:
     J: int
     rho: float
     scaling_skipped: bool = field(default=False, repr=False)
-
-
-@dataclass(frozen=True)
-class RankSelectionConfig:
-    """Allowed rank range ``[d_min, d_max]`` for automatic selection."""
-
-    d_min: int
-    d_max: int
-
-    def __post_init__(self):
-        if not 1 <= self.d_min <= self.d_max:
-            raise ConfigurationError(
-                f"need 1 <= d_min <= d_max, got [{self.d_min}, {self.d_max}]"
-            )
 
 
 def init_state(
@@ -208,10 +195,9 @@ def stack_step(stack: JioState, ranks, r: np.ndarray, b_known: int | None = None
     return decided
 
 
-def _truncated_statistics(
-    state: JioState, cfg: RankSelectionConfig, r: np.ndarray, b: int | None = None
-):
-    """Rank-selection statistics of the truncations ``d_min .. d_max``.
+def _truncated_statistics(state: JioState, d_min: int, r: np.ndarray, b: int | None = None):
+    """Rank-selection statistics of the truncations ``d_min .. D``, D the
+    state's own rank.
 
     Keeping the first ``d`` filter taps and projection columns gives
     ``S_d w_d``, column ``d`` of the prefix sums of ``S w`` (no
@@ -222,13 +208,13 @@ def _truncated_statistics(
     the full state's own decision as reference.
     """
     D = state.w.shape[0]
-    if cfg.d_max > D:
-        raise ConfigurationError(f"d_max={cfg.d_max} exceeds the adapted rank {D}")
+    if not 1 <= d_min <= D:
+        raise ConfigurationError(f"need 1 <= d_min <= D={D}, got d_min={d_min}")
     sw = np.cumsum(state.S * state.w[None, :], axis=1)
     x = r.conj() @ sw
     n = (sw.real**2 + sw.imag**2).sum(axis=0)
-    xr = x.real[cfg.d_min - 1 : cfg.d_max]
-    nn = n[cfg.d_min - 1 : cfg.d_max]
+    xr = x.real[d_min - 1 :]
+    nn = n[d_min - 1 :]
     valid = nn >= _NORM_EPS
     if b is None:
         b = 1 if x.real[D - 1] >= 0.0 else -1
@@ -236,28 +222,31 @@ def _truncated_statistics(
     return stat, xr
 
 
-def select_rank(
-    state: JioState,
-    cfg: RankSelectionConfig,
-    r: np.ndarray,
-    b: int | None = None,
-) -> int:
-    """Rank in [d_min, d_max] minimizing the truncated error estimate.
+def auto_step(
+    state: JioState, d_min: int, r: np.ndarray, b_known: int | None = None
+) -> tuple[int, int]:
+    """Detect the current symbol at the rank in ``[d_min, D]`` minimizing
+    the truncated error estimate, run the J adaptation cycles of the full
+    rank-D state and return ``(decision, rank)``.
 
-    Each truncation is rescaled to unit norm and scored by
-    ``Q(b Re[x_d] / rho)``; one with vanishing norm is uninformative and
-    scores 0.5.  ``b`` is the training bit.  ``None`` references the full
-    state's own decision: scoring every candidate against its own sign
-    (pure confidence) proved unstable in decision-directed operation, as
-    it lets an interference-dominated truncation hijack the decision
-    feedback.  Ties break toward the smallest rank.
+    Each truncation to the leading ``d`` taps and columns is rescaled to
+    unit norm and scored by ``Q(b Re[x_d] / rho)``; one with vanishing
+    norm is uninformative and scores 0.5.  Ties break toward the smallest
+    rank.  ``b_known`` is the training bit and also drives the updates.
+    ``None`` references the full state's own decision: scoring every
+    candidate against its own sign (pure confidence) proved unstable in
+    decision-directed operation, as it lets an interference-dominated
+    truncation hijack the decision feedback.
 
-    With ``b`` None and ``d_max`` the adapted rank, the maximum is at
-    least the full state's own ``|Re[x_D]| / sqrt(n_D)``, so the picked
-    truncation decides as the full state does (bar ties at 0 and
-    vanishing norms): the rank changes no decision-directed decision.
-    With a training bit the pick is label-aided, its decision right
-    whenever any truncation's is.
+    With ``b_known`` None the maximum is at least the full state's own
+    ``|Re[x_D]| / sqrt(n_D)``, so the picked truncation decides as the
+    full state does (bar ties at 0 and vanishing norms): the rank changes
+    no decision-directed decision, and state and decisions are those of
+    :func:`jio_step` at rank D.  With a training bit the pick is
+    label-aided, its decision right whenever any truncation's is.
     """
-    stat = _truncated_statistics(state, cfg, r, b)[0]
-    return cfg.d_min + int(np.argmax(stat))
+    stat, xr = _truncated_statistics(state, d_min, r, b_known)
+    pick = int(np.argmax(stat))
+    decided = _decide(xr[pick])
+    _adapt(state, r, decided if b_known is None else b_known)
+    return decided, d_min + pick

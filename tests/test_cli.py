@@ -84,15 +84,19 @@ def test_sweep_subcommand(tmp_path, fast_config):
     assert len(lines) > 1
 
 
+# a well-formed range whose ranks exceed the default M = 33
+_RANK_ERRORS = {"2:40": "D must not exceed M=33, got 34"}
+
+
 @pytest.mark.parametrize(
     "d_range, exit_code",
-    [("2:6:2", 0), ("5:7", 0), ("6", 2), ("6:2", 2), ("2:x", 2), ("2::1", 2)],
+    [("2:6:2", 0), ("5:7", 0), ("6", 2), ("6:2", 2), ("2:x", 2), ("2::1", 2), ("2:40", 2)],
 )
 def test_complexity_subcommand(tmp_path, capsys, d_range, exit_code):
     out = tmp_path / "complexity.csv"
     assert main(["complexity", "--out", str(out), "--d-range", d_range]) == exit_code
     if exit_code:
-        assert "bad range" in capsys.readouterr().err
+        assert _RANK_ERRORS.get(d_range, "bad range") in capsys.readouterr().err
         assert not out.exists()
         return
     lines = out.read_text().splitlines()
@@ -144,6 +148,25 @@ def test_io_error_exit_code(fast_config, tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     code = main(["run", "--config", str(fast_config), "--out", str(missing_dir)])
     assert code == 3
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("ran trials although --out cannot be written")
+
+
+@pytest.mark.parametrize(
+    "argv, runner",
+    [(["run"], "run_monte_carlo"), (["sweep", "--axis", "snr"], "sweep")],
+    ids=["run", "sweep"],
+)
+def test_missing_out_dir_fails_before_any_trial(
+    fast_config, tmp_path, capsys, monkeypatch, argv, runner
+):
+    monkeypatch.setattr(harness, runner, _never_called)
+    missing = tmp_path / "no_such_dir" / "out.csv"
+    code = main(argv + ["--config", str(fast_config), "--out", str(missing)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -98,6 +98,23 @@ class TestFormulaProperties:
         with pytest.raises(ConfigurationError):
             op_count(Algorithm.FULL_RANK_LMS, M=0)
 
+    @pytest.mark.parametrize(
+        "algorithm, params, name",
+        [
+            (Algorithm.JIO_MBER, {"D": 9, "J": 1}, "D"),
+            (Algorithm.MWF_MBER, {"D": 6, "Lp": 3}, "D"),
+            (Algorithm.JIO_MBER_AUTO, {"D_max": 20}, "D_max"),
+        ],
+    )
+    def test_rank_above_observation_size_rejected(self, algorithm, params, name):
+        with pytest.raises(ConfigurationError, match=f"{name} must not exceed M=5") as err:
+            op_count(algorithm, M=5, **params)
+        assert err.value.field == name
+
+    def test_rank_equal_to_observation_size_accepted(self):
+        assert op_count(Algorithm.JIO_MBER, M=5, D=5, J=1).params["D"] == 5
+        assert op_count(Algorithm.JIO_MBER_AUTO, M=5, D_max=5).params["D_max"] == 5
+
     @pytest.mark.parametrize("value", [3.7, 0.5])
     def test_non_integer_parameter_rejected(self, value):
         """A fractional count is refused, not truncated (3.7 counted as 3)."""

@@ -31,7 +31,7 @@ from mberlink.harness import (
 )
 from mberlink.baselines import init_full_rank
 from mberlink.harness import _build_users
-from mberlink.jio_mber import RankSelectionConfig, _adapt, init_state, jio_step
+from mberlink.jio_mber import _adapt, init_state, jio_step
 from mberlink.signal_model import synthesize_arrays
 
 def _references(cfg, bits):
@@ -491,16 +491,17 @@ class TestRunTrial:
         assert got == recorded["trials"]
 
 
-def _two_pass_auto_step(state, ranks, r, true_bit, training):
-    """The auto detector's step with ``S^H r`` computed twice: once for the
-    truncated (prefix-sum) statistics and again in the first adaptation
-    cycle.  Returns the decision and the chosen rank."""
-    lo = ranks.d_min - 1
+def _two_pass_auto_step(state, d_min, r, true_bit, training):
+    """The auto detector's step written out: the truncated statistics from
+    prefix sums of ``w^* S^H r`` and of ``S w``, the pick, the decision,
+    then the J adaptation cycles of the full state, which form ``S w``
+    afresh.  Returns the decision and the chosen rank."""
+    lo = d_min - 1
     x = np.cumsum(state.w.conj() * (state.S.conj().T @ r))
     sw = np.cumsum(state.S * state.w[None, :], axis=1)
     n = (sw.real**2 + sw.imag**2).sum(axis=0)
-    xr = x.real[lo : ranks.d_max]
-    nn = n[lo : ranks.d_max]
+    xr = x.real[lo:]
+    nn = n[lo:]
     valid = nn >= 1e-12
     if training:
         reference = true_bit
@@ -510,15 +511,15 @@ def _two_pass_auto_step(state, ranks, r, true_bit, training):
     pick = int(np.argmax(stat))
     decided = 1 if xr[pick] >= 0.0 else -1
     _adapt(state, r, true_bit if training else decided)
-    return decided, ranks.d_min + pick
+    return decided, d_min + pick
 
 
 class TestAutoAdapterReusedProjection:
     @pytest.mark.parametrize("j", [1, 5])
     def test_bit_identical_to_two_pass_step(self, j):
-        """Handing the statistics' S^H r to the first cycle changes nothing:
-        S, w, the scaling flag, rank and decision agree bit for bit at every
-        symbol, through training and then decision-directed operation."""
+        """The auto detector matches its step written out: S, w, the
+        scaling flag, rank and decision agree bit for bit at every symbol,
+        through training and then decision-directed operation."""
         cfg = dataclasses.replace(
             ExperimentConfig(),
             J=j,
@@ -532,15 +533,14 @@ class TestAutoAdapterReusedProjection:
             _build_users(cfg, seed), cfg.num_symbols, sigma, seed
         )
         state = init_state(cfg.M, cfg.D_max, cfg.mu_w, cfg.mu_S, cfg.J, rho)
-        ranks = RankSelectionConfig(cfg.D_min, cfg.D_max)
         two_pass = copy.deepcopy(state)
         refs = _references(cfg, bits)
         chosen = []
-        reused = _jio_auto(state, ranks, zip(windows, refs), chosen)
+        reused = _jio_auto(state, cfg.D_min, zip(windows, refs), chosen)
         for i in range(cfg.num_symbols):
             decided = next(reused)
             expected, rank = _two_pass_auto_step(
-                two_pass, ranks, windows[i], int(bits[i, 0]), i < cfg.tr_symbols
+                two_pass, cfg.D_min, windows[i], int(bits[i, 0]), i < cfg.tr_symbols
             )
             assert decided == expected, i
             assert chosen[i] == rank, i
@@ -561,8 +561,7 @@ class TestAutoDetectorFollowsMaxRankState:
         rho, windows, _, refs, _ = harness._synthesize(cfg, seed)
         auto = init_state(cfg.M, cfg.D_max, cfg.mu_w, cfg.mu_S, cfg.J, rho)
         fixed = copy.deepcopy(auto)
-        ranks = RankSelectionConfig(cfg.D_min, cfg.D_max)
-        detector = _jio_auto(auto, ranks, zip(windows, refs), [])
+        detector = _jio_auto(auto, cfg.D_min, zip(windows, refs), [])
         for i, (r, b) in enumerate(zip(windows, refs)):
             decided = next(detector)
             expected = jio_step(fixed, r, b)

@@ -19,14 +19,13 @@ from mberlink.detector_core import (
 from mberlink.errors import ConfigurationError, NumericalError
 from mberlink.jio_mber import (
     JioState,
-    RankSelectionConfig,
     _cycle,
     _truncated_statistics,
+    auto_step,
     init_stack,
     init_state,
     jio_step,
     scale_filter,
-    select_rank,
     stack_step,
     update_filter,
 )
@@ -245,10 +244,14 @@ class TestJioStep:
             assert after <= before + 1e-15
 
 
-def candidate_errors(state, r, b, d_min=1, d_max=None):
-    """Error estimate Q(stat / rho) of each truncation d_min..d_max."""
-    cfg = RankSelectionConfig(d_min, d_max or state.w.shape[0])
-    return q_function(_truncated_statistics(state, cfg, r, b)[0] / state.rho)
+def candidate_errors(state, r, b, d_min=1):
+    """Error estimate Q(stat / rho) of each truncation d_min..D."""
+    return q_function(_truncated_statistics(state, d_min, r, b)[0] / state.rho)
+
+
+def picked_rank(state, d_min, r, b):
+    """The rank :func:`auto_step` picks, read from a copy of the state."""
+    return auto_step(copy.deepcopy(state), d_min, r, b)[1]
 
 
 def truncate_rescale_errors(state, r, b, d_min, d_max):
@@ -313,10 +316,9 @@ class TestCandidateError:
 
     def test_rejects_out_of_range_rank(self):
         state = init_state(6, 3, 0.1, 0.1, 1, 1.0)
-        with pytest.raises(ConfigurationError):
-            _truncated_statistics(
-                state, RankSelectionConfig(1, 4), np.ones(6, dtype=complex), 1
-            )
+        for d_min in (0, 4):
+            with pytest.raises(ConfigurationError):
+                _truncated_statistics(state, d_min, np.ones(6, dtype=complex), 1)
 
 
 class TestSelectRank:
@@ -324,7 +326,7 @@ class TestSelectRank:
         rng = np.random.default_rng(18)
         state = random_state(rng, m=10, d=8)
         r, b = random_sample(rng, 10)
-        assert select_rank(state, RankSelectionConfig(7, 7), r, b) == 7
+        assert picked_rank(state, 8, r, b) == 8
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -333,12 +335,11 @@ class TestSelectRank:
         data=st.data(),
     )
     def test_matches_brute_force(self, seed, m, data):
-        """select_rank is the argmin (first on ties) of the truncate-rescale
-        oracle, for a known bit and for b=None, over random states, leading
-        all-zero taps and rank ranges."""
+        """auto_step's rank is the argmin (first on ties) of the
+        truncate-rescale oracle, for a known bit and for b=None, over random
+        states, leading all-zero taps and rank ranges up to the state's."""
         d = data.draw(st.integers(min_value=1, max_value=m))
-        d_max = data.draw(st.integers(min_value=1, max_value=d))
-        d_min = data.draw(st.integers(min_value=1, max_value=d_max))
+        d_min = data.draw(st.integers(min_value=1, max_value=d))
         zero_lead = data.draw(st.integers(min_value=0, max_value=d))
         b = data.draw(st.sampled_from([-1, 1, None]))
         rho = data.draw(st.floats(min_value=0.05, max_value=3.0))
@@ -346,29 +347,27 @@ class TestSelectRank:
         state = random_state(rng, m=m, d=d, rho=rho, normalized=False)
         state.w[:zero_lead] = 0.0
         r = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        errors = truncate_rescale_errors(state, r, b, d_min, d_max)
+        errors = truncate_rescale_errors(state, r, b, d_min, d)
         expected = d_min + min(range(len(errors)), key=errors.__getitem__)
-        assert select_rank(state, RankSelectionConfig(d_min, d_max), r, b) == expected
+        assert picked_rank(state, d_min, r, b) == expected
 
     def test_all_tied_returns_d_min(self):
         rng = np.random.default_rng(20)
         state = random_state(rng, m=10, d=8)
-        assert select_rank(
-            state, RankSelectionConfig(3, 8), np.zeros(10, dtype=complex), 1
-        ) == 3
+        assert picked_rank(state, 3, np.zeros(10, dtype=complex), 1) == 3
 
     def test_result_always_in_range(self):
         rng = np.random.default_rng(21)
         state = random_state(rng, m=10, d=8)
         for _ in range(20):
             r, b = random_sample(rng, 10)
-            d = select_rank(state, RankSelectionConfig(2, 7), r, b)
-            assert 2 <= d <= 7
+            d = picked_rank(state, 2, r, b)
+            assert 2 <= d <= 8
 
     def test_rejects_range_beyond_state(self):
         state = init_state(6, 3, 0.1, 0.1, 1, 1.0)
         with pytest.raises(ConfigurationError):
-            select_rank(state, RankSelectionConfig(1, 5), np.ones(6, dtype=complex), 1)
+            picked_rank(state, 4, np.ones(6, dtype=complex), 1)
 
 
 class TestTruncatedStatistics:
@@ -376,7 +375,7 @@ class TestTruncatedStatistics:
         rng = np.random.default_rng(22)
         state = random_state(rng, m=9, d=6, normalized=False)
         r, b = random_sample(rng, 9)
-        stat, xr = _truncated_statistics(state, RankSelectionConfig(2, 6), r, b)
+        stat, xr = _truncated_statistics(state, 2, r, b)
         for d in range(2, 7):
             w_t, s_t = state.w[:d], state.S[:, :d]
             x = np.vdot(w_t, s_t.conj().T @ r).real
@@ -389,10 +388,12 @@ class TestTruncatedStatistics:
 
 class TestRankSelectionConfig:
     def test_rejects_bad_range(self):
-        with pytest.raises(ConfigurationError):
-            RankSelectionConfig(0, 5)
-        with pytest.raises(ConfigurationError):
-            RankSelectionConfig(6, 5)
+        rng = np.random.default_rng(23)
+        state = random_state(rng, m=6, d=5)
+        r, b = random_sample(rng, 6)
+        for d_min in (0, 6):
+            with pytest.raises(ConfigurationError):
+                auto_step(state, d_min, r, b)
 
 
 def _rank_one_projection(S, w, r, sw, xr, step):

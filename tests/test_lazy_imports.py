@@ -21,11 +21,11 @@ import dataclasses, sys
 import numpy as np
 import mberlink.cli
 from mberlink.harness import ExperimentConfig, run_monte_carlo, run_trial
-from mberlink.jio_mber import RankSelectionConfig, init_state, select_rank
+from mberlink.jio_mber import auto_step, init_state
 cfg = dataclasses.replace(ExperimentConfig(), tr_symbols=20, dd_symbols=30, num_trials=2)
 run_trial(cfg, cfg.base_seed)
 run_monte_carlo(cfg, jobs=1)
-select_rank(init_state(4, 3, 0.1, 0.1, 1, 1.0), RankSelectionConfig(1, 3), np.ones(4, complex))
+auto_step(init_state(4, 3, 0.1, 0.1, 1, 1.0), 1, np.ones(4, complex))
 print(",".join(m for m in ("scipy", "concurrent.futures.process") if m in sys.modules))
 """
 
