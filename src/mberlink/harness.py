@@ -3,8 +3,8 @@
 A trial synthesizes one seeded DS-CDMA stream and runs each configured
 detector over the whole of it in turn, so every detector sees the
 identical sample sequence (paired comparison).  Each detector is a
-generator over the trial's ``(window, reference bit)`` pairs that yields
-one decision per symbol.  The desired user is user 1 (index 0); the
+per-symbol step that takes a ``(window, reference bit)`` pair and returns
+its decision.  The desired user is user 1 (index 0); the
 reference bit is its true bit for ``tr_symbols`` symbols and then None,
 meaning that a detector adapts on its own decisions.  Every decision is
 scored against ground truth.  Trials are averaged into per-symbol
@@ -245,48 +245,40 @@ def parse_config(path) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# detectors: each runs over a trial's (window, reference bit) pairs and
-# yields one decision per symbol; a reference bit of None means "adapt on
-# your own decision" (decision-directed operation)
+# detectors: each is a step ``(r, b) -> decision`` on one symbol's window
+# and reference bit; a reference bit of None means "adapt on your own
+# decision" (decision-directed operation)
 # ---------------------------------------------------------------------------
 
 
-def _jio_fixed(state, stream):
-    for r, b in stream:
-        yield jio_step(state, r, b)
-
-
-def _jio_auto(state, d_min: int, stream, chosen: list):
-    """:func:`~mberlink.jio_mber.auto_step` on each symbol; appends the
-    chosen rank to ``chosen``."""
-    for r, b in stream:
-        decided, rank = auto_step(state, d_min, r, b)
-        chosen.append(rank)
-        yield decided
-
-
-def _full_rank(update, state, stream):
+def _full_rank_step(update, state, r: np.ndarray, b: int | None) -> int:
     """Decides on ``w^H r``, then steps ``update`` (a baselines rule)."""
-    for r, b in stream:
-        wr = np.vdot(state.w, r)
-        decided = _decide(wr.real)
-        update(state, r, decided if b is None else b, wr)
-        yield decided
+    wr = np.vdot(state.w, r)
+    decided = _decide(wr.real)
+    update(state, r, decided if b is None else b, wr)
+    return decided
 
 
-def _detector(name: str, cfg: ExperimentConfig, rho: float, stream, chosen: list):
-    """Start detector ``name`` on ``stream``.  The full-rank rules are read
-    from this module's names here, so a rebinding of them (tracing) applies."""
+def _detector(name: str, cfg: ExperimentConfig, rho: float, chosen: list):
+    """Detector ``name``'s step on a fresh state; the auto detector's
+    appends each chosen rank to ``chosen``.  The steps and full-rank rules
+    are read from this module's names here, so a rebinding of them
+    (tracing) applies."""
     if name == "jio_mber_fixed":
-        state = init_state(cfg.M, cfg.D, cfg.mu_w, cfg.mu_S, cfg.J, rho)
-        return _jio_fixed(state, stream)
+        return functools.partial(jio_step, init_state(cfg.M, cfg.D, cfg.mu_w, cfg.mu_S, cfg.J, rho))
     if name == "jio_mber_auto":
         state = init_state(cfg.M, cfg.D_max, cfg.mu_w, cfg.mu_S, cfg.J, rho)
-        return _jio_auto(state, cfg.D_min, stream, chosen)
+
+        def step(r, b):
+            decided, rank = auto_step(state, cfg.D_min, r, b)
+            chosen.append(rank)
+            return decided
+
+        return step
     if name == "full_rank_lms":
-        return _full_rank(lms_update, init_full_rank(cfg.M, cfg.mu_lms), stream)
-    return _full_rank(
-        mber_full_rank_update, init_full_rank(cfg.M, cfg.mu_fr_mber, rho), stream
+        return functools.partial(_full_rank_step, lms_update, init_full_rank(cfg.M, cfg.mu_lms))
+    return functools.partial(
+        _full_rank_step, mber_full_rank_update, init_full_rank(cfg.M, cfg.mu_fr_mber, rho)
     )
 
 
@@ -381,15 +373,15 @@ def _synthesize(cfg: ExperimentConfig, trial_seed: int):
     return rho, windows, truth, refs, synthesized - start
 
 
-def _collect(name: str, detector, decided: np.ndarray, trial_seed: int) -> float:
-    """Store the detector's decisions for each symbol in ``decided``, row by
-    row; returns the seconds taken.  A NumericalError is re-raised naming
-    ``name``, the symbol and the trial seed."""
+def _collect(name: str, step, windows, refs, decided: np.ndarray, trial_seed: int) -> float:
+    """Store ``step(r, b)`` for each window and reference bit in
+    ``decided``, row by row; returns the seconds taken.  A NumericalError
+    is re-raised naming ``name``, the symbol and the trial seed."""
     began = time.perf_counter()
     try:
-        # the index is the symbol in progress when the detector raises
-        for i in range(len(decided)):
-            decided[i] = next(detector)
+        # the index is the symbol in progress when the step raises
+        for i, (r, b) in enumerate(zip(windows, refs)):
+            decided[i] = step(r, b)
     except NumericalError as exc:
         raise NumericalError(f"{name} at symbol {i} of trial seed {trial_seed}: {exc}") from exc
     return time.perf_counter() - began
@@ -404,9 +396,9 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
     stage_s = {"synthesis": synthesis_s}
     for name in cfg.detectors:
         chosen = []
-        detector = _detector(name, cfg, rho, zip(windows, refs), chosen)
+        step = _detector(name, cfg, rho, chosen)
         decisions[name] = np.zeros(cfg.num_symbols, dtype=np.int8)
-        stage_s[name] = _collect(name, detector, decisions[name], trial_seed)
+        stage_s[name] = _collect(name, step, windows, refs, decisions[name], trial_seed)
         if name == "jio_mber_auto":
             ranks[name] = np.array(chosen, dtype=np.int16)
     errors = {name: (dec != truth).astype(np.uint8) for name, dec in decisions.items()}
@@ -430,8 +422,8 @@ def _rank_trial(cfg: ExperimentConfig, ranks: tuple, trial_seed: int) -> TrialRe
     rho, windows, truth, refs, synthesis_s = _synthesize(cfg, trial_seed)
     stack = init_stack(cfg.M, ranks, cfg.mu_w, cfg.mu_S, cfg.J, rho)
     decided = np.zeros((cfg.num_symbols, len(ranks)), dtype=np.int8)
-    steps = (stack_step(stack, ranks, r, b) for r, b in zip(windows, refs))
-    fixed_s = _collect("jio_mber_fixed", steps, decided, trial_seed)
+    step = functools.partial(stack_step, stack, ranks)
+    fixed_s = _collect("jio_mber_fixed", step, windows, refs, decided, trial_seed)
     errors = (decided != truth[:, None]).astype(np.uint8)
     stage_s = {"synthesis": synthesis_s, "jio_mber_fixed": fixed_s}
     return TrialResult(dict(enumerate(errors.T)), dict(enumerate(decided.T)), truth, {}, stage_s)

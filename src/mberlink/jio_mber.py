@@ -25,10 +25,13 @@ instead of passing as near zero.
 one stream at once, zero-padded to the largest rank (the rank sweep);
 one state alone is faster through :func:`jio_step`.
 
-:func:`auto_step` selects the rank: it truncates the leading
-columns/entries of a state adapted at the maximum allowed rank,
-renormalizes, detects at the rank whose single-sample error-probability
-estimate is smallest, and adapts the full state as :func:`jio_step` does.
+:func:`auto_step` is a rank reading plus :func:`jio_step`: it
+truncates the leading columns/entries of a state adapted at the maximum
+allowed rank, renormalizes, reads off the rank whose single-sample
+error-probability estimate is smallest, and then steps the full state
+with :func:`jio_step`.  Its decision-directed decisions are therefore
+those of the fixed detector at the maximum rank, by construction; in
+training it decides at the rank the true bit picked.
 """
 
 import math
@@ -108,35 +111,31 @@ def scale_filter(state: JioState) -> JioState:
     return state
 
 
-def _adapt(state: JioState, r: np.ndarray, b: int, sw=None, xr=None) -> None:
-    """Run the J inner cycles in place: each is :func:`_cycle` (whose filter
-    half is :func:`update_filter`) and :func:`scale_filter`'s scaling by
-    :func:`_unit_norm`, whose ``S w / s`` the next cycle takes.  The first
-    takes ``sw`` and ``xr``, the pre-update ``S w`` and ``Re x``, when the
-    caller already holds them."""
+def jio_step(state: JioState, r: np.ndarray, b_known: int | None = None) -> int:
+    """Detect the current symbol, run the J adaptation cycles in place and
+    return the decision.
+
+    The decision comes from the state as it stood before any update.
+    ``b_known`` (training) drives the updates; None makes the detector's
+    own decision drive them (decision-directed operation), as in
+    :func:`stack_step`.  Each cycle is :func:`_cycle` (whose filter half
+    is :func:`update_filter`) and :func:`scale_filter`'s scaling by
+    :func:`_unit_norm`, whose ``S w / s`` the next cycle takes; the first
+    takes the ``S w`` and ``Re x`` the decision formed.  This is the one
+    single-state adaptation path, :func:`auto_step`'s too.  A non-finite
+    output raises :class:`~mberlink.errors.NumericalError`.
+    """
     S, w = state.S, state.w
+    sw = S @ w
+    xr = float(np.vdot(sw, r).real)
+    decided = _decide(xr)
+    b = decided if b_known is None else b_known
     for _ in range(state.J):
         S, w_next = _cycle(S, w, r, b, state.rho, state.mu_w, state.mu_S, sw, xr)
         sw = S @ w_next
         w, s, skipped = _unit_norm(w_next, sw)
         sw, xr = sw / s, None
     state.S, state.w, state.scaling_skipped = S, w, skipped
-
-
-def jio_step(state: JioState, r: np.ndarray, b_known: int | None = None) -> int:
-    """Detect the current symbol, run the J adaptation cycles and return
-    the decision.
-
-    The decision comes from the state as it stood before any update.
-    ``b_known`` (training) drives the updates; None makes the detector's
-    own decision drive them (decision-directed operation), as in
-    :func:`stack_step`.  A non-finite output raises
-    :class:`~mberlink.errors.NumericalError`.
-    """
-    sw = state.S @ state.w
-    xr = float(np.vdot(sw, r).real)
-    decided = _decide(xr)
-    _adapt(state, r, decided if b_known is None else b_known, sw, xr)
     return decided
 
 
@@ -225,9 +224,9 @@ def _truncated_statistics(state: JioState, d_min: int, r: np.ndarray, b: int | N
 def auto_step(
     state: JioState, d_min: int, r: np.ndarray, b_known: int | None = None
 ) -> tuple[int, int]:
-    """Detect the current symbol at the rank in ``[d_min, D]`` minimizing
-    the truncated error estimate, run the J adaptation cycles of the full
-    rank-D state and return ``(decision, rank)``.
+    """Read the rank in ``[d_min, D]`` minimizing the truncated error
+    estimate off the state as it stands, then :func:`jio_step` the full
+    rank-D state; return ``(decision, rank)``.
 
     Each truncation to the leading ``d`` taps and columns is rescaled to
     unit norm and scored by ``Q(b Re[x_d] / rho)``; one with vanishing
@@ -238,15 +237,15 @@ def auto_step(
     decision-directed operation, as it lets an interference-dominated
     truncation hijack the decision feedback.
 
-    With ``b_known`` None the maximum is at least the full state's own
-    ``|Re[x_D]| / sqrt(n_D)``, so the picked truncation decides as the
-    full state does (bar ties at 0 and vanishing norms): the rank changes
-    no decision-directed decision, and state and decisions are those of
-    :func:`jio_step` at rank D.  With a training bit the pick is
-    label-aided, its decision right whenever any truncation's is.
+    With ``b_known`` None the decision is :func:`jio_step`'s own, so state
+    and decisions are those of the fixed detector at rank D by
+    construction, and the rank is a reading that changes no decision.
+    With a training bit the decision is the pick's, label-aided: right
+    whenever any truncation's is.
     """
     stat, xr = _truncated_statistics(state, d_min, r, b_known)
     pick = int(np.argmax(stat))
-    decided = _decide(xr[pick])
-    _adapt(state, r, decided if b_known is None else b_known)
+    decided = jio_step(state, r, b_known)
+    if b_known is not None:
+        decided = _decide(xr[pick])
     return decided, d_min + pick

@@ -17,8 +17,7 @@ from mberlink.harness import (
     DETECTOR_NAMES,
     ExperimentConfig,
     _detector,
-    _full_rank,
-    _jio_auto,
+    _full_rank_step,
     emit_csv,
     kernel_radius,
     noise_sigma,
@@ -31,7 +30,7 @@ from mberlink.harness import (
 )
 from mberlink.baselines import init_full_rank
 from mberlink.harness import _build_users
-from mberlink.jio_mber import _adapt, init_state, jio_step
+from mberlink.jio_mber import auto_step, init_state, jio_step
 from mberlink.signal_model import synthesize_arrays
 
 def _references(cfg, bits):
@@ -423,9 +422,9 @@ class TestRunTrial:
         refs = _references(cfg, bits)
         for name in cfg.detectors:
             chosen = []
-            detector = _detector(name, cfg, rho, zip(windows, refs), chosen)
+            step = _detector(name, cfg, rho, chosen)
             for i in range(cfg.num_symbols):
-                assert next(detector) == result.decisions[name][i], (name, i)
+                assert step(windows[i], refs[i]) == result.decisions[name][i], (name, i)
             if name == "jio_mber_auto":
                 assert chosen == result.selected_ranks[name].tolist()
             else:
@@ -473,6 +472,25 @@ class TestRunTrial:
                 run_trial(cfg, seed)
         assert first == 214
 
+    @pytest.mark.parametrize("name", ["jio_mber_fixed", "jio_mber_auto"])
+    def test_non_finite_chip_fails_the_jio_detectors_loudly(self, name, monkeypatch):
+        """An infinite chip at symbol 40 (decision-directed in FAST) stops
+        the detector there, naming it, the symbol and the trial seed."""
+
+        def with_inf_chip(*args):
+            windows, bits = synthesize_arrays(*args)
+            windows = windows.copy()  # a read-only view
+            windows[40, 3] = np.inf
+            return windows, bits
+
+        monkeypatch.setattr(harness, "synthesize_arrays", with_inf_chip)
+        cfg = dataclasses.replace(FAST, detectors=(name,))
+        seed = 7
+        message = rf"^{name} at symbol 40 of trial seed {seed}: detector output is "
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError, match=message):
+                run_trial(cfg, seed)
+
     @pytest.mark.slow
     def test_reproduces_recorded_reference_digests(self):
         """Every decision vector of the benchmark's reference pool (the paper
@@ -494,8 +512,9 @@ class TestRunTrial:
 def _two_pass_auto_step(state, d_min, r, true_bit, training):
     """The auto detector's step written out: the truncated statistics from
     prefix sums of ``w^* S^H r`` and of ``S w``, the pick, the decision,
-    then the J adaptation cycles of the full state, which form ``S w``
-    afresh.  Returns the decision and the chosen rank."""
+    then the J adaptation cycles of the full state through
+    :func:`jio_step`, driven by the true bit in training and by this
+    decision afterwards.  Returns the decision and the chosen rank."""
     lo = d_min - 1
     x = np.cumsum(state.w.conj() * (state.S.conj().T @ r))
     sw = np.cumsum(state.S * state.w[None, :], axis=1)
@@ -510,7 +529,7 @@ def _two_pass_auto_step(state, d_min, r, true_bit, training):
     stat = np.where(valid, reference * xr / np.sqrt(np.where(valid, nn, 1.0)), 0.0)
     pick = int(np.argmax(stat))
     decided = 1 if xr[pick] >= 0.0 else -1
-    _adapt(state, r, true_bit if training else decided)
+    jio_step(state, r, true_bit if training else decided)
     return decided, d_min + pick
 
 
@@ -536,9 +555,9 @@ class TestAutoAdapterReusedProjection:
         two_pass = copy.deepcopy(state)
         refs = _references(cfg, bits)
         chosen = []
-        reused = _jio_auto(state, cfg.D_min, zip(windows, refs), chosen)
         for i in range(cfg.num_symbols):
-            decided = next(reused)
+            decided, picked = auto_step(state, cfg.D_min, windows[i], refs[i])
+            chosen.append(picked)
             expected, rank = _two_pass_auto_step(
                 two_pass, cfg.D_min, windows[i], int(bits[i, 0]), i < cfg.tr_symbols
             )
@@ -561,9 +580,8 @@ class TestAutoDetectorFollowsMaxRankState:
         rho, windows, _, refs, _ = harness._synthesize(cfg, seed)
         auto = init_state(cfg.M, cfg.D_max, cfg.mu_w, cfg.mu_S, cfg.J, rho)
         fixed = copy.deepcopy(auto)
-        detector = _jio_auto(auto, cfg.D_min, zip(windows, refs), [])
         for i, (r, b) in enumerate(zip(windows, refs)):
-            decided = next(detector)
+            decided, _ = auto_step(auto, cfg.D_min, r, b)
             expected = jio_step(fixed, r, b)
             assert b is not None or decided == expected, i
             assert np.array_equal(auto.S, fixed.S), i
@@ -628,11 +646,10 @@ class TestFullRankAdaptersReuseOutput:
             rule = harness.mber_full_rank_update
         two_vdot = copy.deepcopy(state)
         refs = _references(cfg, bits)
-        detector = _full_rank(rule, state, zip(windows, refs))
         for i in range(cfg.num_symbols):
             training = i < cfg.tr_symbols
             true_bit = int(bits[i, 0])
-            decided = next(detector)
+            decided = _full_rank_step(rule, state, windows[i], refs[i])
             two_vdot_decided = 1 if np.vdot(two_vdot.w, windows[i]).real >= 0.0 else -1
             update(two_vdot, windows[i], true_bit if training else two_vdot_decided)
             assert decided == two_vdot_decided, i

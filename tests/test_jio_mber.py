@@ -370,6 +370,37 @@ class TestSelectRank:
             picked_rank(state, 4, np.ones(6, dtype=complex), 1)
 
 
+class TestAutoStepDecisionDirected:
+    @staticmethod
+    def assert_is_jio_step(state, d_min, r):
+        """Decision-directed auto_step decides and adapts as jio_step does
+        on a deep copy: same decision, S, w and scaling flag, bit for bit."""
+        fixed = copy.deepcopy(state)
+        decided, _ = auto_step(state, d_min, r)
+        assert decided == jio_step(fixed, r)
+        assert np.array_equal(state.S, fixed.S)
+        assert np.array_equal(state.w, fixed.w)
+        assert state.scaling_skipped == fixed.scaling_skipped
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_random_states(self, seed, j):
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, m=10, d=8, j=j, normalized=seed % 2 == 0)
+        self.assert_is_jio_step(state, 2, random_sample(rng, 10)[0])
+
+    def test_zero_window_gives_zero_output(self):
+        """An output of exactly 0: every truncation ties at 0."""
+        state = random_state(np.random.default_rng(30), m=10, d=8, j=2)
+        self.assert_is_jio_step(state, 3, np.zeros(10, dtype=complex))
+
+    def test_all_zero_filter(self):
+        """A vanishing full-state norm: every truncation has norm 0."""
+        rng = np.random.default_rng(31)
+        state = init_state(10, 8, 0.01, 0.02, 2, 0.8)
+        self.assert_is_jio_step(state, 3, random_sample(rng, 10)[0])
+
+
 class TestTruncatedStatistics:
     def test_prefix_quantities_match_direct_computation(self):
         rng = np.random.default_rng(22)
