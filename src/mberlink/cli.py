@@ -71,10 +71,7 @@ def _load_config(args) -> harness.ExperimentConfig:
         overrides["num_trials"] = args.trials
     if args.detectors is not None:
         overrides["detectors"] = harness._FIELD_PARSERS["detectors"](args.detectors)
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-        harness.validate_config(cfg)
-    return cfg
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _check_out_dir(path: str) -> None:

@@ -58,7 +58,8 @@ FINAL_WINDOW = 500
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat experiment description; defaults replicate the reference setup."""
+    """Flat experiment description; defaults replicate the reference setup.
+    Building one, by any route, checks it (:func:`validate_config`)."""
 
     N: int = 31
     K: int = 5
@@ -87,6 +88,9 @@ class ExperimentConfig:
     rank_sweep: tuple[int, ...] = (2, 4, 6, 8, 10, 12, 16, 20)
     smoothing_window: int = 0
 
+    def __post_init__(self):
+        validate_config(self)
+
     @property
     def M(self) -> int:
         return self.N + self.Lp - 1
@@ -106,11 +110,18 @@ def _noise_computable(cfg: ExperimentConfig, snr_db: float) -> bool:
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Raise ConfigurationError (with the offending field) on any violation,
-    such as a non-finite number (bar ``snr_db = inf``) or a negative base_seed."""
+    such as a non-integer count, a non-finite number (bar ``snr_db = inf``)
+    or a negative base_seed.  Every ExperimentConfig runs it when built."""
 
     def bad(field_name, message):
         raise ConfigurationError(message, field=field_name)
 
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type is int and not isinstance(value, numbers.Integral):
+            bad(f.name, f"{f.name} must be one integer, got {value!r}")
+        if f.type is float and not isinstance(value, numbers.Real):
+            bad(f.name, f"{f.name} must be one number, got {value!r}")
     if cfg.N not in _GOLD_DEGREES:
         bad("N", f"spreading gain must be one of {sorted(_GOLD_DEGREES)}, got {cfg.N}")
     family_size = len(_gold_family_cached(_GOLD_DEGREES[cfg.N]))
@@ -149,8 +160,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
             bad("amplitudes", f"need {cfg.K} amplitudes, got {len(cfg.amplitudes)}")
         if not all(0 < a < math.inf for a in cfg.amplitudes):
             bad("amplitudes", "amplitudes must be finite and positive")
-    if not isinstance(cfg.snr_db, numbers.Real):
-        bad("snr_db", "snr_db must be one number; an SNR grid goes in snr_sweep")
     if math.isnan(cfg.snr_db):
         bad("snr_db", "snr_db must be a number, not NaN")
     if not _noise_computable(cfg, cfg.snr_db):
@@ -235,13 +244,10 @@ def parse_config(path) -> ExperimentConfig:
                     path, line_no, f"invalid value for {key!r}: {exc}"
                 ) from exc
             key_lines[key] = line_no
-    cfg = dataclasses.replace(ExperimentConfig(), **values)
     try:
-        validate_config(cfg)
+        return ExperimentConfig(**values)
     except ConfigurationError as exc:
-        line = key_lines.get(exc.field, 0)
-        raise ConfigParseError(path, line, str(exc)) from exc
-    return cfg
+        raise ConfigParseError(path, key_lines.get(exc.field, 0), str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +395,6 @@ def _collect(name: str, step, windows, refs, decided: np.ndarray, trial_seed: in
 
 def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
     """One seeded trial over tr_symbols training + dd_symbols DD symbols."""
-    validate_config(cfg)
     rho, windows, truth, refs, synthesis_s = _synthesize(cfg, trial_seed)
     decisions = {}
     ranks = {}
@@ -511,7 +516,6 @@ def run_monte_carlo(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     trial); aggregation is by trial index, so results are identical for
     any job count.
     """
-    validate_config(cfg)
     start = time.perf_counter()
     trials = _map_trials(functools.partial(run_trial, cfg), cfg, jobs)
     ber_trace, final_trials, final_ber, final_stderr = _aggregate(
@@ -571,18 +575,15 @@ def sweep(cfg: ExperimentConfig, axis: str, jobs: int = 1) -> SweepResult:
     Every point reuses the same trial seeds (``base_seed + t``), so points
     are paired by common random numbers: trial t sees the same fading/bit
     realizations at every grid point, which makes trends far less noisy
-    than independent points would be.  Every point's config is built and
-    validated before the first one runs.
+    than independent points would be.  Every point's config is built, and
+    so checked, before the first one runs.
     """
-    validate_config(cfg)
     if axis not in _SWEEP_AXES:
         raise ConfigurationError(f"axis must be one of {tuple(_SWEEP_AXES)}, got {axis!r}")
     grid_key, point_key = _SWEEP_AXES[axis]
     start = time.perf_counter()
     points = getattr(cfg, grid_key)
     point_cfgs = [dataclasses.replace(cfg, **{point_key: p}) for p in points]
-    for point_cfg in point_cfgs:
-        validate_config(point_cfg)
     rows, stages, health = [], [], {}
     if axis == "rank":
         trials = _map_trials(functools.partial(_rank_trial, cfg, points), cfg, jobs)

@@ -35,6 +35,7 @@ training it decides at the rank the true bit picked.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,8 +64,8 @@ def init_state(
     """Fresh state: S = [I_D; 0], w = 0."""
     if not 1 <= D <= M:
         raise ConfigurationError(f"need 1 <= D <= M, got D={D}, M={M}")
-    if J < 1:
-        raise ConfigurationError(f"need J >= 1, got {J}")
+    if not (isinstance(J, numbers.Integral) and J >= 1):  # int(2.7) would run J = 2
+        raise ConfigurationError(f"need an integer J >= 1, got {J}")
     if not (mu_w >= 0 and mu_S >= 0):
         raise ConfigurationError("step sizes must be non-negative")
     if not (rho > 0 and 2.0 * rho * rho > 0):

@@ -336,6 +336,35 @@ class TestValidateConfig:
                 validate_config(dataclasses.replace(base, **bad))
             assert err.value.field == next(iter(bad))
 
+    @pytest.mark.parametrize(
+        "direct, change", [(True, {"K": 34}), (True, {"J": 2.7}), (False, {"D": 40})]
+    )
+    def test_invalid_config_cannot_be_built(self, direct, change):
+        """A config is checked when it is built, not first when it runs."""
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig(**change) if direct else dataclasses.replace(FAST, **change)
+        assert err.value.field == next(iter(change))
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(ExperimentConfig) if f.type is int]
+    )
+    def test_non_integer_count_rejected(self, name):
+        """J = 2.7 used to run as J = 2 (init_state truncated it), and a
+        count such as D = 4.0 died later on a bare TypeError."""
+        for value in (getattr(FAST, name) + 0.5, float(getattr(FAST, name))):
+            with pytest.raises(ConfigurationError, match="integer") as err:
+                dataclasses.replace(FAST, **{name: value})
+            assert err.value.field == name
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(ExperimentConfig) if f.type is float]
+    )
+    def test_non_number_rejected(self, name):
+        """mu_w = "0.1" used to fail inside validation on a bare TypeError."""
+        with pytest.raises(ConfigurationError) as err:
+            dataclasses.replace(FAST, **{name: "0.1"})
+        assert err.value.field == name
+
     def test_smoothing_window_longer_than_trace_rejected(self, tmp_path):
         """A window beyond the 10 symbols would make emit_csv write 25
         trace rows for symbols that do not exist."""
@@ -431,9 +460,8 @@ class TestRunTrial:
                 assert chosen == []
 
     def test_scalar_snr_required(self):
-        cfg = dataclasses.replace(FAST, snr_db=(5.0, 10.0))
         with pytest.raises(ConfigurationError):
-            run_trial(cfg, 0)
+            run_trial(dataclasses.replace(FAST, snr_db=(5.0, 10.0)), 0)
 
     def test_diverging_lms_fails_loudly(self):
         """An overflowing filter raises, naming the detector, the first
@@ -750,9 +778,8 @@ class TestRunMonteCarlo:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(harness, "run_trial", no_trial)
-        cfg = dataclasses.replace(FAST, snr_db=(5.0, 10.0))
         with pytest.raises(ConfigurationError) as err:
-            run_monte_carlo(cfg, jobs=jobs)
+            run_monte_carlo(dataclasses.replace(FAST, snr_db=(5.0, 10.0)), jobs=jobs)
         assert err.value.field == "snr_db"
 
     @pytest.mark.parametrize("jobs", [0, -1])
@@ -816,10 +843,10 @@ class TestSweep:
         """A listed snr_db must not be replaced by a default on another axis."""
         calls = []
         monkeypatch.setattr(harness, "run_monte_carlo", lambda *a, **k: calls.append(a))
-        cfg = dataclasses.replace(
-            FAST, snr_db=(5.0, 10.0), users_sweep=(1, 2), rank_sweep=(2, 4)
-        )
         with pytest.raises(ConfigurationError) as err:
+            cfg = dataclasses.replace(
+                FAST, snr_db=(5.0, 10.0), users_sweep=(1, 2), rank_sweep=(2, 4)
+            )
             sweep(cfg, axis=axis)
         assert err.value.field == "snr_db"
         assert calls == []

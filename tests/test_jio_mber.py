@@ -73,6 +73,13 @@ class TestInitState:
         with pytest.raises(ConfigurationError):
             init_state(4, 5, 0.1, 0.1, 1, 1.0)
 
+    @pytest.mark.parametrize("J", [0, 2.7, 1.0])
+    def test_invalid_cycle_count_rejected(self, J):
+        """A non-integer J is refused, not truncated: 2.7 used to run as 2."""
+        with pytest.raises(ConfigurationError):
+            init_state(4, 2, 0.1, 0.1, J, 1.0)
+        assert init_state(4, 2, 0.1, 0.1, np.int64(2), 1.0).J == 2
+
     @pytest.mark.parametrize("rho", [0.0, -1.0, float("nan"), 1e-170])
     def test_invalid_rho_rejected(self, rho):
         """The update factor divides by 2 rho^2 in Python floats, so a rho
