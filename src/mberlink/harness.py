@@ -45,6 +45,9 @@ DETECTOR_NAMES = (
 
 _GOLD_DEGREES = {31: 5, 127: 7}
 
+# annotation item type -> (the values it admits, what a message calls one)
+_KINDS = {int: (numbers.Integral, "integer"), float: (numbers.Real, "number"), str: (str, "name")}
+
 # sweep axis -> (config key holding its grid, config key each grid point sets)
 _SWEEP_AXES = {
     "snr": ("snr_sweep", "snr_db"),
@@ -108,84 +111,82 @@ def _noise_computable(cfg: ExperimentConfig, snr_db: float) -> bool:
         return False
 
 
+def _annotation(kind) -> tuple[type, bool]:
+    """``(item type, is a tuple)`` of an ExperimentConfig annotation."""
+    if typing.get_origin(kind) not in (tuple, None):  # ``tuple[...] | None``
+        kind = typing.get_args(kind)[0]
+    is_tuple = typing.get_origin(kind) is tuple
+    return (typing.get_args(kind)[0] if is_tuple else kind), is_tuple
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     """Raise ConfigurationError (with the offending field) on any violation,
     such as a non-integer count, a non-finite number (bar ``snr_db = inf``)
-    or a negative base_seed.  Every ExperimentConfig runs it when built."""
+    or a negative base_seed; every grid point obeys the rule of the value
+    it sets.  Every ExperimentConfig runs it when built."""
 
     def bad(field_name, message):
         raise ConfigurationError(message, field=field_name)
 
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
-        if f.type is int and not isinstance(value, numbers.Integral):
-            bad(f.name, f"{f.name} must be one integer, got {value!r}")
-        if f.type is float and not isinstance(value, numbers.Real):
-            bad(f.name, f"{f.name} must be one number, got {value!r}")
+        item, is_tuple = _annotation(f.type)
+        kind, noun = _KINDS[item]
+        if not is_tuple and not isinstance(value, kind):
+            bad(f.name, f"{f.name} must be one {noun}, got {value!r}")
+        items_ok = isinstance(value, tuple) and all(isinstance(v, kind) for v in value)
+        if is_tuple and not (items_ok or value is None is f.default):  # amplitudes' None
+            bad(f.name, f"{f.name} must be a tuple of {noun}s, got {value!r}")
     if cfg.N not in _GOLD_DEGREES:
         bad("N", f"spreading gain must be one of {sorted(_GOLD_DEGREES)}, got {cfg.N}")
     family_size = len(_gold_family_cached(_GOLD_DEGREES[cfg.N]))
-    if not 1 <= cfg.K <= family_size:
-        bad("K", f"need 1 <= K <= {family_size}, got {cfg.K}")
     if cfg.Lp < 1 or cfg.Lp - 1 > cfg.N:
         bad("Lp", f"need 1 <= Lp <= N+1, got {cfg.Lp}")
-    if len(cfg.power_profile_db) != cfg.Lp:
-        bad(
-            "power_profile_db",
-            f"power profile has {len(cfg.power_profile_db)} entries, expected Lp={cfg.Lp}",
-        )
-    # tap 0 is the reference; a later tap of -inf dB is a path with no power
     profile = cfg.power_profile_db
+    if len(profile) != cfg.Lp:
+        bad("power_profile_db", f"power profile has {len(profile)} entries, expected Lp={cfg.Lp}")
+    # tap 0 is the reference; a later tap of -inf dB is a path with no power
     if not (math.isfinite(profile[0]) and all(p < math.inf for p in profile)):
         bad("power_profile_db", "power_profile_db must be below inf dB, with tap 0 finite")
-    if not 1 <= cfg.D <= cfg.M:
-        bad("D", f"need 1 <= D <= M={cfg.M}, got {cfg.D}")
     if not 1 <= cfg.D_min <= cfg.D_max <= cfg.M:
         bad("D_min", f"need 1 <= D_min <= D_max <= M={cfg.M}")
-    if cfg.J < 1:
-        bad("J", f"need J >= 1, got {cfg.J}")
-    for name in ("mu_w", "mu_S", "mu_lms", "mu_fr_mber"):
+    lowest = {"J": 1, "tr_symbols": 1, "dd_symbols": 0, "num_trials": 1, "base_seed": 0}
+    for name, least in lowest.items():
+        if getattr(cfg, name) < least:
+            bad(name, f"need {name} >= {least}, got {getattr(cfg, name)}")
+    for name in ("mu_w", "mu_S", "mu_lms", "mu_fr_mber", "doppler"):
         if not 0 <= getattr(cfg, name) < math.inf:
             bad(name, f"{name} must be a finite number >= 0")
     if not 0 < cfg.rho_multiplier < math.inf:
         bad("rho_multiplier", "rho_multiplier must be a finite number > 0")
-    if cfg.tr_symbols < 1:
-        bad("tr_symbols", "need at least one training symbol")
-    if cfg.dd_symbols < 0:
-        bad("dd_symbols", "dd_symbols must be >= 0")
-    if not 0 <= cfg.doppler < math.inf:
-        bad("doppler", "doppler must be a finite number >= 0")
     if cfg.amplitudes is not None:
         if len(cfg.amplitudes) != cfg.K:
             bad("amplitudes", f"need {cfg.K} amplitudes, got {len(cfg.amplitudes)}")
         if not all(0 < a < math.inf for a in cfg.amplitudes):
             bad("amplitudes", "amplitudes must be finite and positive")
-    if math.isnan(cfg.snr_db):
-        bad("snr_db", "snr_db must be a number, not NaN")
-    if not _noise_computable(cfg, cfg.snr_db):
-        bad("snr_db", f"no noise level at snr_db = {cfg.snr_db}; inf means noiseless")
-    if cfg.num_trials < 1:
-        bad("num_trials", "num_trials must be >= 1")
-    if cfg.base_seed < 0:
-        bad("base_seed", "base_seed must be >= 0")
+    # one rule per swept value, for it and its grid; after amplitudes, which set the noise
+    rules = {
+        "snr_db": (lambda s: _noise_computable(cfg, s), "snr_db not NaN, with a noise level"),
+        "K": (lambda k: 1 <= k <= family_size, f"1 <= K <= {family_size}"),
+        "D": (lambda d: 1 <= d <= cfg.M, f"1 <= D <= M={cfg.M}"),
+    }
+    for grid_key, point_key in _SWEEP_AXES.values():
+        holds, need = rules[point_key]
+        if not holds(getattr(cfg, point_key)):
+            bad(point_key, f"need {need}, got {getattr(cfg, point_key)}")
+        if not getattr(cfg, grid_key):
+            bad(grid_key, f"{grid_key} is an empty grid; list at least one point")
+        if not all(map(holds, getattr(cfg, grid_key))):
+            bad(grid_key, f"{grid_key} sets {point_key}: need {need} at every point")
     if not cfg.detectors:
         bad("detectors", "need at least one detector")
     for det in cfg.detectors:
         if det not in DETECTOR_NAMES:
             bad("detectors", f"unknown detector {det!r}; known: {DETECTOR_NAMES}")
-    for grid_key, _ in _SWEEP_AXES.values():
-        if not getattr(cfg, grid_key):
-            bad(grid_key, f"{grid_key} is an empty grid; list at least one point")
     for key in ("detectors", *(grid_key for grid_key, _ in _SWEEP_AXES.values())):
         entries = getattr(cfg, key)
         if len(set(entries)) < len(entries):
             bad(key, f"{key} repeats an entry: {entries}")
-    if not all(_noise_computable(cfg, v) for v in cfg.snr_sweep):
-        bad("snr_sweep", "SNRs in snr_sweep must be numbers (not NaN) with a noise level")
-    if any(not 1 <= k <= family_size for k in cfg.users_sweep):
-        bad("users_sweep", f"user counts must lie in [1, {family_size}]")
-    if any(not 1 <= d <= cfg.M for d in cfg.rank_sweep):
-        bad("rank_sweep", f"ranks must lie in [1, M={cfg.M}]")
     if not 0 <= cfg.smoothing_window <= cfg.num_symbols:
         bad("smoothing_window", f"smoothing_window must lie in [0, {cfg.num_symbols}]")
 
@@ -196,13 +197,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def _field_parser(kind):
-    """``int`` and ``float`` parse as themselves; ``tuple[item, ...]``, or
-    that ``| None``, as a comma list of ``item`` that skips blank entries."""
-    if kind in (int, float):
-        return kind
-    if typing.get_origin(kind) is not tuple:
-        kind = typing.get_args(kind)[0]
-    item = typing.get_args(kind)[0]
+    """A scalar parses as its type, a tuple as a comma list of items (blanks skipped)."""
+    item, is_tuple = _annotation(kind)
+    if not is_tuple:
+        return item
     return lambda text: tuple(item(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
@@ -240,9 +238,7 @@ def parse_config(path) -> ExperimentConfig:
             try:
                 values[key] = _FIELD_PARSERS[key](value_text)
             except ValueError as exc:
-                raise ConfigParseError(
-                    path, line_no, f"invalid value for {key!r}: {exc}"
-                ) from exc
+                raise ConfigParseError(path, line_no, f"invalid value for {key!r}: {exc}") from exc
             key_lines[key] = line_no
     try:
         return ExperimentConfig(**values)

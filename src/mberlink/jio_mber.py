@@ -47,7 +47,8 @@ from .errors import ConfigurationError, NumericalError
 @dataclass
 class JioState:
     """Mutable adaptation state: projection S (M x D) and filter w (D), or
-    P of them stacked along a leading axis (:func:`init_stack`)."""
+    P of them stacked along a leading axis (:func:`init_stack`).
+    ``scaling_skipped``: some cycle of the last step skipped its scaling."""
 
     S: np.ndarray
     w: np.ndarray
@@ -55,7 +56,7 @@ class JioState:
     mu_S: float
     J: int
     rho: float
-    scaling_skipped: bool = field(default=False, repr=False)
+    scaling_skipped: bool | np.ndarray = field(default=False, repr=False)  # (P,) in a stack
 
 
 def init_state(
@@ -126,7 +127,7 @@ def jio_step(state: JioState, r: np.ndarray, b_known: int | None = None) -> int:
     single-state adaptation path, :func:`auto_step`'s too.  A non-finite
     output raises :class:`~mberlink.errors.NumericalError`.
     """
-    S, w = state.S, state.w
+    S, w, any_skipped = state.S, state.w, False
     sw = S @ w
     xr = float(np.vdot(sw, r).real)
     decided = _decide(xr)
@@ -135,8 +136,9 @@ def jio_step(state: JioState, r: np.ndarray, b_known: int | None = None) -> int:
         S, w_next = _cycle(S, w, r, b, state.rho, state.mu_w, state.mu_S, sw, xr)
         sw = S @ w_next
         w, s, skipped = _unit_norm(w_next, sw)
+        any_skipped |= skipped
         sw, xr = sw / s, None
-    state.S, state.w, state.scaling_skipped = S, w, skipped
+    state.S, state.w, state.scaling_skipped = S, w, any_skipped
     return decided
 
 
@@ -170,7 +172,7 @@ def stack_step(stack: JioState, ranks, r: np.ndarray, b_known: int | None = None
     state below the largest rank can differ from its own in the last bits.
     A non-finite output or filter norm raises NumericalError naming the rank.
     """
-    S, w, rho = stack.S, stack.w, stack.rho
+    S, w, rho, any_skipped = stack.S, stack.w, stack.rho, False
     rc = r.conj()[:, None]  # Re(sw . conj r) rounds as np.vdot(sw, r).real
     sw = (S @ w[:, :, None])[:, :, 0]
     for j in range(stack.J):
@@ -188,10 +190,12 @@ def stack_step(stack: JioState, ranks, r: np.ndarray, b_known: int | None = None
         sw = (S @ w_next[:, :, None])[:, :, 0]
         norm_sq = (sw.conj()[:, None, :] @ sw[:, :, None])[:, 0, 0].real
         _check_finite(ranks, norm_sq, "filter norm")
+        skipped = norm_sq < _NORM_EPS
+        any_skipped |= skipped
         # dividing by 1 keeps a filter whose norm is ~0, as _unit_norm does
-        s = np.where(norm_sq < _NORM_EPS, 1.0, np.sqrt(norm_sq))[:, None]
+        s = np.where(skipped, 1.0, np.sqrt(norm_sq))[:, None]
         w, sw = w_next / s, sw / s
-    stack.w = w
+    stack.w, stack.scaling_skipped = w, any_skipped
     return decided
 
 
@@ -217,7 +221,7 @@ def _truncated_statistics(state: JioState, d_min: int, r: np.ndarray, b: int | N
     nn = n[d_min - 1 :]
     valid = nn >= _NORM_EPS
     if b is None:
-        b = 1 if x.real[D - 1] >= 0.0 else -1
+        b = _decide(x.real[D - 1])
     stat = np.where(valid, b * xr / np.sqrt(np.where(valid, nn, 1.0)), 0.0)
     return stat, xr
 

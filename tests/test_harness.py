@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -326,6 +327,64 @@ class TestValidateConfig:
         assert code == 2
         assert f"{path}:2:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, args",
+        [
+            ("rank_sweep = 2, 40", ["sweep", "--axis", "rank"]),
+            ("snr_sweep = 10, 7000", ["sweep", "--axis", "snr"]),
+        ],
+    )
+    def test_grid_point_off_its_rule_exits_2_at_its_line(self, tmp_path, capsys, line, args):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"tr_symbols = 5\n{line}\n")
+        out = tmp_path / "x.csv"
+        code = cli_main([*args, "--trials", "1", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert f"{path}:2: {line.split()[0]} sets " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "point_key, grid_key, value, need",
+        [
+            ("K", "users_sweep", 0, "1 <= K <= 33"),
+            ("K", "users_sweep", 34, "1 <= K <= 33"),
+            ("D", "rank_sweep", 0, "1 <= D <= M=33"),
+            ("D", "rank_sweep", 34, "1 <= D <= M=33"),
+            ("snr_db", "snr_sweep", math.nan, "not NaN, with a noise level"),
+            ("snr_db", "snr_sweep", -math.inf, "not NaN, with a noise level"),
+            ("snr_db", "snr_sweep", 7000.0, "not NaN, with a noise level"),
+        ],
+    )
+    def test_grid_point_obeys_the_rule_of_the_value_it_sets(self, point_key, grid_key, value, need):
+        """One rule per swept value: the value and a point of its grid are
+        refused alike, each naming its own key."""
+        for key, given in ((point_key, value), (grid_key, (1, value))):
+            with pytest.raises(ConfigurationError, match=re.escape(need)) as err:
+                ExperimentConfig(**{key: given})
+            assert err.value.field == key
+        ExperimentConfig(**{point_key: 1, grid_key: (1,)})
+
+    @pytest.mark.parametrize(
+        "change, noun",
+        [
+            ({"snr_sweep": ("x",)}, "numbers"),
+            ({"users_sweep": (1.5,)}, "integers"),
+            ({"rank_sweep": (2.5, 4)}, "integers"),
+            ({"power_profile_db": ("a", -7.0, -10.0)}, "numbers"),
+            ({"amplitudes": (1.0, "b", 1.0, 1.0, 1.0)}, "numbers"),
+            ({"detectors": ("full_rank_lms", 3)}, "names"),
+            ({"snr_sweep": [5.0, 10.0]}, "numbers"),
+            ({"amplitudes": 1.0}, "numbers"),
+        ],
+    )
+    def test_tuple_items_type_checked(self, change, noun):
+        """users_sweep = (1.5,) and rank_sweep = (2.5, 4) used to be built
+        and fail mid-sweep naming K or D; the others died on a bare
+        TypeError.  A list is refused too: only a tuple stays as checked."""
+        with pytest.raises(ConfigurationError, match=f"must be a tuple of {noun}") as err:
+            ExperimentConfig(**change)
+        assert err.value.field == next(iter(change))
 
     @pytest.mark.parametrize("n, k_max", [(31, 33), (127, 129)])
     def test_user_count_bounded_by_gold_family_size(self, n, k_max):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mberlink import jio_mber
 from mberlink.detector_core import (
     _unit_norm,
     error_probability,
@@ -408,7 +409,64 @@ class TestAutoStepDecisionDirected:
         self.assert_is_jio_step(state, 3, random_sample(rng, 10)[0])
 
 
+class TestScalingSkippedFlag:
+    def test_a_skip_in_a_non_final_cycle_raises_the_flag(self, monkeypatch):
+        """The flag tells whether any cycle of the symbol skipped its
+        scaling; it used to hold only the last cycle's flag."""
+        rng = np.random.default_rng(41)
+        state = random_state(rng, m=8, d=4, j=5)
+        r, b = random_sample(rng, 8)
+        calls = []
+
+        def second_cycle_skips(w, sw):
+            calls.append(None)
+            w_out, s, skipped = _unit_norm(w, sw)
+            return w_out, s, skipped or len(calls) == 2
+
+        monkeypatch.setattr(jio_mber, "_unit_norm", second_cycle_skips)
+        jio_step(state, r, b)
+        assert len(calls) == 5 and state.scaling_skipped is True
+        jio_step(state, r, b)
+        assert len(calls) == 10 and state.scaling_skipped is False
+
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_stack_holds_each_states_jio_step_flag(self, j):
+        """Zero windows at symbols 0-2 skip every state's scaling; at
+        symbol 20 only the rank-4 state, whose filter is reset to zero,
+        skips.  The stack keeps one flag per state, each its jio_step's."""
+        m, ranks = 12, (2, 4, 6)
+        rng = np.random.default_rng(42 + j)
+        stack = init_stack(m, ranks, 0.05, 0.05, j, 0.35)
+        states = [init_state(m, d, 0.05, 0.05, j, 0.35) for d in ranks]
+        for i in range(30):
+            r, b = random_sample(rng, m)
+            if i < 3 or i == 20:
+                r = np.zeros(m, dtype=complex)
+            if i == 20:
+                stack.w[1] = 0.0
+                states[1].w = np.zeros(4, dtype=complex)
+            stack_step(stack, ranks, r, b)
+            for state in states:
+                jio_step(state, r, b)
+            flags = [state.scaling_skipped for state in states]
+            assert stack.scaling_skipped.dtype == bool
+            assert stack.scaling_skipped.tolist() == flags, i
+            assert flags == [i < 3 or (i == 20 and d == 4) for d in ranks], i
+
+
 class TestTruncatedStatistics:
+    def test_non_finite_output_raises_when_it_sets_the_reference(self):
+        """Without a bit, the full state's output is decided by _decide, so
+        a NaN raises as it does in every other decision; it used to read
+        as a -1 reference."""
+        rng = np.random.default_rng(24)
+        state = random_state(rng, m=6, d=4)
+        r, b = random_sample(rng, 6)
+        state.w[3] = np.nan
+        with pytest.raises(NumericalError, match=r"^detector output is nan$"):
+            _truncated_statistics(state, 1, r)
+        _truncated_statistics(state, 1, r, b)  # a given bit decides nothing: no raise
+
     def test_prefix_quantities_match_direct_computation(self):
         rng = np.random.default_rng(22)
         state = random_state(rng, m=9, d=6, normalized=False)
