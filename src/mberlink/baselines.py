@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detector_core import _mber_factor, _unit_norm
+from .detector_core import _decide, _mber_factor, _unit_norm
 from .errors import ConfigurationError
 
 
@@ -26,40 +26,36 @@ def init_full_rank(M: int, mu: float, rho: float | None = None) -> FullRankState
     return FullRankState(w=np.zeros(M, dtype=np.complex128), mu=mu, rho=rho)
 
 
-def lms_update(
-    state: FullRankState, r: np.ndarray, b: int, wr: complex | None = None
-) -> FullRankState:
-    """Standard complex LMS step toward the reference bit b.
-
-    ``wr`` is the output ``w^H r`` when the caller already formed it for
-    the decision; it is computed here otherwise.
+def lms_update(state: FullRankState, r: np.ndarray, b_known: int | None = None) -> int:
+    """Standard complex LMS step: decide on ``w^H r``, step toward
+    ``b_known`` (training) or, when it is None, toward that decision, and
+    return the decision, as :func:`~mberlink.jio_mber.jio_step` does.  A
+    non-finite output raises :class:`~mberlink.errors.NumericalError`.
     """
-    if wr is None:
-        wr = np.vdot(state.w, r)
-    e = float(b) - wr
+    wr = np.vdot(state.w, r)
+    decided = _decide(wr.real)
+    e = float(decided if b_known is None else b_known) - wr
     state.w = state.w + state.mu * np.conj(e) * r
-    return state
+    return decided
 
 
 def mber_full_rank_update(
-    state: FullRankState, r: np.ndarray, b: int, wr: complex | None = None
-) -> FullRankState:
-    """Minimum-BER stochastic-gradient step with unit-norm rescaling.
+    state: FullRankState, r: np.ndarray, b_known: int | None = None
+) -> int:
+    """Minimum-BER stochastic-gradient step with unit-norm rescaling; it
+    decides and returns the decision as :func:`lms_update` does.
 
     This is the reduced-rank filter recursion specialized to an identity
     projection at full rank, followed by scaling to ||w|| = 1 (skipped,
     and flagged, while the filter is still the all-zero init); a
-    non-finite norm raises :class:`~mberlink.errors.NumericalError`.
-    ``wr`` is the output ``w^H r`` if the caller already formed it, as in
-    :func:`lms_update`.
+    non-finite output or norm raises :class:`~mberlink.errors.NumericalError`.
     """
     if state.rho is None or not state.rho > 0:
         raise ConfigurationError("MBER update requires a positive rho")
     w = state.w
-    if wr is None:
-        wr = np.vdot(w, r)
-    xr = wr.real
-    c = _mber_factor(xr, b, state.rho)
+    xr = np.vdot(w, r).real
+    decided = _decide(xr)
+    c = _mber_factor(xr, decided if b_known is None else b_known, state.rho)
     w_next = w + (state.mu * c) * (r - xr * w)
     state.w, _, state.scaling_skipped = _unit_norm(w_next, w_next)
-    return state
+    return decided

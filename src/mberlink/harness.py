@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import numbers
+import sys
 import time
 import typing
 from dataclasses import dataclass, field
@@ -31,7 +32,6 @@ import numpy as np
 
 from ._version import __version__
 from .baselines import init_full_rank, lms_update, mber_full_rank_update
-from .detector_core import _decide
 from .errors import ConfigParseError, ConfigurationError, NumericalError
 from .jio_mber import auto_step, init_stack, init_state, jio_step, stack_step
 from .signal_model import JakesChannel, UserConfig, generate_gold_family, synthesize_arrays
@@ -57,6 +57,9 @@ _SWEEP_AXES = {
 
 # steady-state window (symbols) used for "final BER" figures and stderr
 FINAL_WINDOW = 500
+
+# LMS is mean-square stable for mu tr R below this (Horowitz & Senne, IEEE TASSP 1981)
+LMS_MEAN_SQUARE_LIMIT = 2 / 3
 
 
 @dataclass(frozen=True)
@@ -253,19 +256,10 @@ def parse_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _full_rank_step(update, state, r: np.ndarray, b: int | None) -> int:
-    """Decides on ``w^H r``, then steps ``update`` (a baselines rule)."""
-    wr = np.vdot(state.w, r)
-    decided = _decide(wr.real)
-    update(state, r, decided if b is None else b, wr)
-    return decided
-
-
 def _detector(name: str, cfg: ExperimentConfig, rho: float, chosen: list):
     """Detector ``name``'s step on a fresh state; the auto detector's
-    appends each chosen rank to ``chosen``.  The steps and full-rank rules
-    are read from this module's names here, so a rebinding of them
-    (tracing) applies."""
+    appends each chosen rank to ``chosen``.  The steps are read from this
+    module's names here, so a rebinding of them (tracing) applies."""
     if name == "jio_mber_fixed":
         return functools.partial(jio_step, init_state(cfg.M, cfg.D, cfg.mu_w, cfg.mu_S, cfg.J, rho))
     if name == "jio_mber_auto":
@@ -278,10 +272,8 @@ def _detector(name: str, cfg: ExperimentConfig, rho: float, chosen: list):
 
         return step
     if name == "full_rank_lms":
-        return functools.partial(_full_rank_step, lms_update, init_full_rank(cfg.M, cfg.mu_lms))
-    return functools.partial(
-        _full_rank_step, mber_full_rank_update, init_full_rank(cfg.M, cfg.mu_fr_mber, rho)
-    )
+        return functools.partial(lms_update, init_full_rank(cfg.M, cfg.mu_lms))
+    return functools.partial(mber_full_rank_update, init_full_rank(cfg.M, cfg.mu_fr_mber, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +288,8 @@ class TrialResult:
     ``stage_s`` holds the seconds spent on ``synthesis`` and on each
     detector, keyed by its name.  ``health`` holds counters that flag a
     silently failing detector; they never change a decision.  For
-    ``full_rank_lms`` it counts the symbols whose step is unstable (see
-    :func:`_lms_health`).
+    ``full_rank_lms`` it counts the symbols whose step is unstable and
+    gives the trial's mean step load (see :func:`_lms_health`).
     """
 
     errors: dict
@@ -345,18 +337,22 @@ def _build_users(cfg: ExperimentConfig, trial_seed: int) -> list[UserConfig]:
 
 
 def _lms_health(windows: np.ndarray, mu: float) -> dict:
-    """Symbols where one LMS step cannot shrink its error.
+    """Symbols where one LMS step cannot shrink its error, and the trial's
+    mean step load ``mu * ||r||^2``.
 
     A step scales the error of its own symbol by ``1 - mu * ||r||^2``, so
     from ``mu * ||r||^2 >= 2`` on it grows instead: enough such symbols
-    make the filter diverge while every output stays finite.
+    make the filter diverge while every output stays finite.  The mean
+    load estimates ``mu tr R``, set against LMS_MEAN_SQUARE_LIMIT.
     """
     # each complex row read as 2M floats: ||r||^2 in one pass, no temporary
     flat = windows.view(np.float64)
-    unstable = np.flatnonzero(mu * np.einsum("ij,ij->i", flat, flat) >= 2.0)
+    load = mu * np.einsum("ij,ij->i", flat, flat)
+    unstable = np.flatnonzero(load >= 2.0)
     return {
         "unstable_steps": int(unstable.size),
         "first_unstable_step": int(unstable[0]) if unstable.size else None,
+        "mean_square_load": float(load.mean()),
     }
 
 
@@ -547,16 +543,21 @@ def _sum_stages(stage_dicts) -> dict:
 
 def _sum_health(trials) -> dict:
     """LMS counts summed over trials, how many trials had any, and the
-    earliest first unstable symbol (None if none)."""
+    earliest first unstable symbol (None if none); the mean step load over
+    trials, its mean-square limit and how many trials reach that limit."""
     lms = [t.health["full_rank_lms"] for t in trials if t.health]
     if not lms:
         return {}
     firsts = [h["first_unstable_step"] for h in lms if h["unstable_steps"]]
+    loads = [h["mean_square_load"] for h in lms]
     return {
         "full_rank_lms": {
             "unstable_steps": sum(h["unstable_steps"] for h in lms),
             "unstable_trials": len(firsts),
             "first_unstable_step": min(firsts, default=None),
+            "mean_square_load": sum(loads) / len(loads),
+            "mean_square_limit": LMS_MEAN_SQUARE_LIMIT,
+            "overloaded_trials": sum(load >= LMS_MEAN_SQUARE_LIMIT for load in loads),
         }
     }
 
@@ -632,7 +633,9 @@ def _fmt(value: float) -> str:
 
 
 def _json_value(value):
-    """A config value for JSON, a non-finite float as the text parse_config reads."""
+    """A config or health value for JSON, a non-finite float as text ("inf" parses back)."""
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
     if isinstance(value, tuple):
         return [_json_value(v) for v in value]
     return str(value) if isinstance(value, float) and not math.isfinite(value) else value
@@ -642,10 +645,11 @@ def _write_sidecar(path: str, kind: str, result) -> None:
     meta = {
         "kind": kind,
         "version": f"mberlink-{__version__}",
+        "environment": {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__},
         "wall_time_s": result.wall_time_s,
         "stage_s": result.stage_s,
-        "health": result.health,
-        "config": {k: _json_value(v) for k, v in dataclasses.asdict(result.config).items()},
+        "health": _json_value(result.health),
+        "config": _json_value(dataclasses.asdict(result.config)),
     }
     if kind == "trace":
         meta["final_window"] = result.final_window

@@ -1,5 +1,7 @@
 """Tests for the full-rank LMS and MBER reference detectors."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -151,3 +153,58 @@ class TestMberFullRank:
         r[2] = np.inf
         with pytest.raises(NumericalError):
             mber_full_rank_update(state, r, 1)
+
+
+class TestStepContract:
+    """Each rule is a whole step, as jio_step is: it decides on w^H r,
+    steps toward b_known (or toward that decision when it is None) and
+    returns the decision."""
+
+    @staticmethod
+    def _state(name, rng):
+        w = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        if name == "lms":
+            return lms_update, FullRankState(w=w, mu=0.03)
+        return mber_full_rank_update, FullRankState(w=w / np.linalg.norm(w), mu=0.05, rho=0.5)
+
+    @pytest.mark.parametrize("name", ["lms", "mber"])
+    def test_returns_decision_and_follows_it_without_a_reference(self, name):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            rule, state = self._state(name, rng)
+            r = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            expected = 1 if np.vdot(state.w, r).real >= 0.0 else -1
+            toward_bit = copy.deepcopy(state)
+            assert rule(toward_bit, r, expected) == expected
+            assert rule(state, r) == expected
+            assert np.array_equal(state.w, toward_bit.w)
+            assert state.scaling_skipped == toward_bit.scaling_skipped
+
+    @pytest.mark.parametrize("name", ["lms", "mber"])
+    def test_reference_bit_steers_the_step_not_the_decision(self, name):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            rule, state = self._state(name, rng)
+            r = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            decided = 1 if np.vdot(state.w, r).real >= 0.0 else -1
+            followed = copy.deepcopy(state)
+            rule(followed, r)
+            assert rule(state, r, -decided) == decided
+            assert not np.array_equal(state.w, followed.w)
+
+    def test_lms_step_toward_its_decision(self):
+        state = FullRankState(w=np.array([0.5 + 0j, 0.0, 0.0]), mu=0.1)
+        r = np.array([-1.0 + 0j, 0.2, 0.0])  # w^H r = -0.5: decide -1, error -0.5
+        assert lms_update(state, r) == -1
+        np.testing.assert_allclose(state.w, [0.55, -0.01, 0.0], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "rule, kwargs", [(lms_update, {}), (mber_full_rank_update, {"rho": 0.5})]
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_output_raises(self, rule, kwargs):
+        from mberlink.errors import NumericalError
+
+        state = FullRankState(w=np.array([1.0 + 0j, 0.0]), mu=0.1, **kwargs)
+        with pytest.raises(NumericalError, match="detector output"):
+            rule(state, np.array([np.nan + 0j, 1.0]))

@@ -18,7 +18,6 @@ from mberlink.harness import (
     DETECTOR_NAMES,
     ExperimentConfig,
     _detector,
-    _full_rank_step,
     emit_csv,
     kernel_radius,
     noise_sigma,
@@ -30,6 +29,7 @@ from mberlink.harness import (
     validate_config,
 )
 from mberlink.baselines import init_full_rank
+from mberlink.detector_core import q_function
 from mberlink.harness import _build_users
 from mberlink.jio_mber import auto_step, init_state, jio_step
 from mberlink.signal_model import synthesize_arrays
@@ -712,7 +712,7 @@ class TestFullRankAdaptersReuseOutput:
     )
     @pytest.mark.parametrize("n, k", [(31, 5), (127, 16)])
     def test_bit_identical_to_two_vdot_step(self, name, update, n, k):
-        """Handing the decision's w^H r to the update changes nothing: w,
+        """A rule that decides and steps on one w^H r changes nothing: w,
         the scaling flag and the decision agree bit for bit with an update
         that forms w^H r again, through training and then decision-directed
         operation (at N=127, K=16 the default LMS step diverges)."""
@@ -736,7 +736,7 @@ class TestFullRankAdaptersReuseOutput:
         for i in range(cfg.num_symbols):
             training = i < cfg.tr_symbols
             true_bit = int(bits[i, 0])
-            decided = _full_rank_step(rule, state, windows[i], refs[i])
+            decided = rule(state, windows[i], refs[i])
             two_vdot_decided = 1 if np.vdot(two_vdot.w, windows[i]).real >= 0.0 else -1
             update(two_vdot, windows[i], true_bit if training else two_vdot_decided)
             assert decided == two_vdot_decided, i
@@ -769,7 +769,42 @@ class TestLmsHealth:
     def test_zero_step_counts_nothing(self):
         cfg = dataclasses.replace(self.FOUND, mu_lms=0.0)
         health = run_trial(cfg, 1234).health["full_rank_lms"]
-        assert health == {"unstable_steps": 0, "first_unstable_step": None}
+        assert health == {
+            "unstable_steps": 0,
+            "first_unstable_step": None,
+            "mean_square_load": 0.0,
+        }
+
+    @pytest.mark.parametrize("seed", [1234, 1235])
+    def test_mean_square_load_is_mean_step_load(self, seed):
+        """The trial's mean_square_load is mu_lms * ||r||^2 averaged over
+        its windows, each ||r||^2 formed directly."""
+        cfg = dataclasses.replace(FAST, detectors=("full_rank_lms",))
+        sigma = noise_sigma(cfg, cfg.snr_db)
+        windows, _ = synthesize_arrays(_build_users(cfg, seed), cfg.num_symbols, sigma, seed)
+        direct = np.mean([cfg.mu_lms * np.vdot(r, r).real for r in windows])
+        load = run_trial(cfg, seed).health["full_rank_lms"]["mean_square_load"]
+        assert load == pytest.approx(direct, rel=1e-12)
+
+    def test_mean_square_load_against_its_limit(self):
+        """The run reports the trials' mean load, the named limit and the
+        trials at or above it: at the default mu_lms one of the two FAST
+        trials (loads 0.69 and 0.38) is over, at 0.2 both are."""
+        cfg = dataclasses.replace(FAST, num_trials=2, detectors=("full_rank_lms",))
+        trial_loads = [
+            run_trial(cfg, cfg.base_seed + t).health["full_rank_lms"]["mean_square_load"]
+            for t in range(2)
+        ]
+        limit = harness.LMS_MEAN_SQUARE_LIMIT
+        assert limit == 2 / 3
+        for mu_lms, overloaded in ((0.0, 0), (cfg.mu_lms, 1), (0.2, 2)):
+            scaled = [load * mu_lms / cfg.mu_lms for load in trial_loads]
+            health = run_monte_carlo(dataclasses.replace(cfg, mu_lms=mu_lms)).health
+            lms = health["full_rank_lms"]
+            assert lms["mean_square_load"] == pytest.approx(np.mean(scaled), rel=1e-12)
+            assert lms["mean_square_limit"] == limit
+            assert lms["overloaded_trials"] == overloaded
+            assert overloaded == sum(load >= limit for load in scaled)
 
     def test_only_lms_is_counted(self):
         cfg = dataclasses.replace(FAST, detectors=("full_rank_mber",))
@@ -785,6 +820,9 @@ class TestLmsHealth:
         assert health["first_unstable_step"] == min(
             t["first_unstable_step"] for t in trials
         )
+        assert health["mean_square_load"] == pytest.approx(
+            np.mean([t["mean_square_load"] for t in trials]), rel=1e-12
+        )
         emit_csv(mc, tmp_path / "out.csv")
         meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
         assert meta["health"] == mc.health
@@ -796,6 +834,47 @@ class TestLmsHealth:
         emit_csv(swept, tmp_path / "sweep.csv")
         meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
         assert meta["health"] == swept.health
+
+
+class TestMatchedFilterBound:
+    # One user on one static tap h: no linear detector beats the matched
+    # filter's Q(sqrt(2) |h| / sigma).  mu_lms = 0.02 keeps LMS inside its
+    # mean-square limit: mu_lms * E||r||^2 is about 0.33 here, below 2/3.
+    CFG = dataclasses.replace(
+        ExperimentConfig(),
+        K=1,
+        Lp=1,
+        power_profile_db=(0.0,),
+        doppler=0.0,
+        snr_db=3.0,
+        mu_lms=0.02,
+        tr_symbols=250,
+        dd_symbols=2000,
+    )
+    SEEDS = (1234, 1235, 1236, 1237)
+
+    def test_no_detector_beats_the_bound(self):
+        """Summed over four trials, each detector's decision-directed error
+        count is at least the bound's expected count less 3 binomial SDs,
+        and each MBER detector's is at most 1.5 times that count (they
+        read 1.21 to 1.23 times it, LMS 1.85 times)."""
+        cfg = self.CFG
+        sigma = noise_sigma(cfg, cfg.snr_db)
+        expected, variance = 0.0, 0.0
+        counts = dict.fromkeys(cfg.detectors, 0)
+        for seed in self.SEEDS:
+            h = _build_users(cfg, seed)[0].channel.taps_for(np.zeros(1))[0, 0]
+            p = float(q_function(math.sqrt(2.0) * abs(h) / sigma))
+            expected += cfg.dd_symbols * p
+            variance += cfg.dd_symbols * p * (1.0 - p)
+            result = run_trial(cfg, seed)
+            for name in cfg.detectors:
+                counts[name] += int(result.errors[name][cfg.tr_symbols :].sum())
+        floor = expected - 3.0 * math.sqrt(variance)
+        for name, count in counts.items():
+            assert count >= floor, (name, count, expected)
+            if name != "full_rank_lms":
+                assert count <= 1.5 * expected, (name, count, expected)
 
 
 class TestRunMonteCarlo:
@@ -1081,6 +1160,19 @@ class TestEmitCsv:
         assert meta["config"]["rank_sweep"] == grid
         assert [row.axis_value for row in swept.rows] == grid
 
+    def test_sidecars_name_the_software_environment(self, tmp_path):
+        import platform
+
+        cfg = dataclasses.replace(FAST, num_trials=1, detectors=("full_rank_lms",))
+        emit_csv(run_monte_carlo(cfg), tmp_path / "run.csv")
+        emit_csv(sweep(dataclasses.replace(cfg, snr_sweep=(8.0,)), "snr"), tmp_path / "s.csv")
+        for name in ("run", "s"):
+            meta = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
+            assert meta["environment"] == {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+            }
+
     def test_sidecars_are_strict_json_with_infinite_config_numbers(self, tmp_path):
         """``snr_db = inf``, an ``inf`` in ``snr_sweep`` and a ``-inf`` dB tap
         are valid config; their sidecars must still parse as RFC 8259 JSON,
@@ -1106,6 +1198,22 @@ class TestEmitCsv:
             assert config["power_profile_db"] == [0.0, "-inf", -10.0]
             assert config["snr_sweep"] == [10.0, "inf"]
             assert [float(p) for p in config["power_profile_db"]] == list(cfg.power_profile_db)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sidecar_is_strict_json_with_an_uncomputable_step_load(self, tmp_path):
+        """At mu_lms = 0 LMS runs on any finite stream, but an amplitude of
+        1e160 makes ||r||^2 overflow, so the step load 0 * inf is NaN; the
+        sidecar writes it as text, as it does an infinite config number."""
+        cfg = dataclasses.replace(
+            FAST, amplitudes=(1e160, 1.0), mu_lms=0.0, detectors=("full_rank_lms",)
+        )
+        emit_csv(run_monte_carlo(dataclasses.replace(cfg, num_trials=1)), tmp_path / "t.csv")
+        emit_csv(sweep(dataclasses.replace(cfg, snr_sweep=(8.0,)), "snr"), tmp_path / "s.csv")
+        strict = {"parse_constant": lambda text: pytest.fail(f"non-JSON constant {text}")}
+        trace = json.loads((tmp_path / "t.csv.meta.json").read_text(), **strict)
+        swept = json.loads((tmp_path / "s.csv.meta.json").read_text(), **strict)
+        assert trace["health"]["full_rank_lms"]["mean_square_load"] == "nan"
+        assert swept["health"]["8"]["full_rank_lms"]["mean_square_load"] == "nan"
 
     def test_byte_identical_for_same_config_and_seed(self, tmp_path):
         path_a = tmp_path / "a.csv"
