@@ -4,13 +4,14 @@ A trial synthesizes one seeded DS-CDMA stream and runs each configured
 detector over the whole of it in turn, so every detector sees the
 identical sample sequence (paired comparison).  Each detector is a
 per-symbol step that takes a ``(window, reference bit)`` pair and returns
-its decision.  The desired user is user 1 (index 0); the
-reference bit is its true bit for ``tr_symbols`` symbols and then None,
-meaning that a detector adapts on its own decisions.  Every decision is
-scored against ground truth.  Trials are averaged into per-symbol
-bit-error-rate traces.  SNR and user-count sweeps repeat the Monte Carlo
-run at each grid point; the rank sweep runs every rank of its grid on one
-stream per trial.
+what the trial records: its decision, and for the auto detector the rank
+it chose beside it.  The loop stacks those returns, one row per symbol.
+The desired user is user 1 (index 0); the reference bit is its true bit
+for ``tr_symbols`` symbols and then None, meaning that a detector adapts
+on its own decisions.  Every decision is scored against ground truth.
+Trials are averaged into per-symbol bit-error-rate traces.  SNR and
+user-count sweeps repeat the Monte Carlo run at each grid point; the rank
+sweep runs every rank of its grid on one stream per trial.
 
 Noise level follows SNR (dB) = 10 log10(A1^2 / sigma^2) and the kernel
 radius is ``rho_multiplier * sigma`` (with ``rho_multiplier`` alone as a
@@ -57,6 +58,9 @@ _SWEEP_AXES = {
 
 # steady-state window (symbols) used for "final BER" figures and stderr
 FINAL_WINDOW = 500
+
+# a trial whose final-window BER is above this has failed: its detector lost the user
+FAILED_TRIAL_BER = 0.2
 
 # LMS is mean-square stable for mu tr R below this (Horowitz & Senne, IEEE TASSP 1981)
 LMS_MEAN_SQUARE_LIMIT = 2 / 3
@@ -250,27 +254,21 @@ def parse_config(path) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# detectors: each is a step ``(r, b) -> decision`` on one symbol's window
-# and reference bit; a reference bit of None means "adapt on your own
-# decision" (decision-directed operation)
+# detectors: each is a step ``(r, b) -> decision`` (``(decision, rank)`` for
+# the auto detector) on one symbol's window and reference bit; a reference
+# bit of None means "adapt on your own decision" (decision-directed operation)
 # ---------------------------------------------------------------------------
 
 
-def _detector(name: str, cfg: ExperimentConfig, rho: float, chosen: list):
+def _detector(name: str, cfg: ExperimentConfig, rho: float):
     """Detector ``name``'s step on a fresh state; the auto detector's
-    appends each chosen rank to ``chosen``.  The steps are read from this
-    module's names here, so a rebinding of them (tracing) applies."""
+    returns ``(decision, rank)``.  The steps are read from this module's
+    names here, so a rebinding of them (tracing) applies."""
     if name == "jio_mber_fixed":
         return functools.partial(jio_step, init_state(cfg.M, cfg.D, cfg.mu_w, cfg.mu_S, cfg.J, rho))
     if name == "jio_mber_auto":
         state = init_state(cfg.M, cfg.D_max, cfg.mu_w, cfg.mu_S, cfg.J, rho)
-
-        def step(r, b):
-            decided, rank = auto_step(state, cfg.D_min, r, b)
-            chosen.append(rank)
-            return decided
-
-        return step
+        return functools.partial(auto_step, state, cfg.D_min)
     if name == "full_rank_lms":
         return functools.partial(lms_update, init_full_rank(cfg.M, cfg.mu_lms))
     return functools.partial(mber_full_rank_update, init_full_rank(cfg.M, cfg.mu_fr_mber, rho))
@@ -371,18 +369,19 @@ def _synthesize(cfg: ExperimentConfig, trial_seed: int):
     return rho, windows, truth, refs, synthesized - start
 
 
-def _collect(name: str, step, windows, refs, decided: np.ndarray, trial_seed: int) -> float:
-    """Store ``step(r, b)`` for each window and reference bit in
-    ``decided``, row by row; returns the seconds taken.  A NumericalError
-    is re-raised naming ``name``, the symbol and the trial seed."""
+def _collect(name: str, step, windows, refs, trial_seed: int):
+    """``step(r, b)`` for each window and reference bit, stacked as int16
+    rows, one per symbol, and the seconds taken.  A NumericalError is
+    re-raised naming ``name``, the symbol and the trial seed."""
     began = time.perf_counter()
+    outputs = []
     try:
         # the index is the symbol in progress when the step raises
         for i, (r, b) in enumerate(zip(windows, refs)):
-            decided[i] = step(r, b)
+            outputs.append(step(r, b))
     except NumericalError as exc:
         raise NumericalError(f"{name} at symbol {i} of trial seed {trial_seed}: {exc}") from exc
-    return time.perf_counter() - began
+    return np.array(outputs, dtype=np.int16), time.perf_counter() - began
 
 
 def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
@@ -392,12 +391,10 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
     ranks = {}
     stage_s = {"synthesis": synthesis_s}
     for name in cfg.detectors:
-        chosen = []
-        step = _detector(name, cfg, rho, chosen)
-        decisions[name] = np.zeros(cfg.num_symbols, dtype=np.int8)
-        stage_s[name] = _collect(name, step, windows, refs, decisions[name], trial_seed)
-        if name == "jio_mber_auto":
-            ranks[name] = np.array(chosen, dtype=np.int16)
+        rows, stage_s[name] = _collect(name, _detector(name, cfg, rho), windows, refs, trial_seed)
+        if rows.ndim == 2:  # (decision, rank) rows
+            rows, ranks[name] = rows[:, 0], rows[:, 1].copy()
+        decisions[name] = rows.astype(np.int8)
     errors = {name: (dec != truth).astype(np.uint8) for name, dec in decisions.items()}
     health = {}
     if "full_rank_lms" in decisions:
@@ -418,9 +415,8 @@ def _rank_trial(cfg: ExperimentConfig, ranks: tuple, trial_seed: int) -> TrialRe
     index, and ``stage_s`` times the whole stack as ``jio_mber_fixed``."""
     rho, windows, truth, refs, synthesis_s = _synthesize(cfg, trial_seed)
     stack = init_stack(cfg.M, ranks, cfg.mu_w, cfg.mu_S, cfg.J, rho)
-    decided = np.zeros((cfg.num_symbols, len(ranks)), dtype=np.int8)
     step = functools.partial(stack_step, stack, ranks)
-    fixed_s = _collect("jio_mber_fixed", step, windows, refs, decided, trial_seed)
+    decided, fixed_s = _collect("jio_mber_fixed", step, windows, refs, trial_seed)
     errors = (decided != truth[:, None]).astype(np.uint8)
     stage_s = {"synthesis": synthesis_s, "jio_mber_fixed": fixed_s}
     return TrialResult(dict(enumerate(errors.T)), dict(enumerate(decided.T)), truth, {}, stage_s)
@@ -447,6 +443,8 @@ class ExperimentResult:
     stage_s: dict = field(default_factory=dict)
     # health counters summed over trials (see _sum_health)
     health: dict = field(default_factory=dict)
+    # per detector, the seeds of the trials whose final-window BER is above FAILED_TRIAL_BER
+    failed_trials: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -513,12 +511,10 @@ def run_monte_carlo(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     ber_trace, final_trials, final_ber, final_stderr = _aggregate(
         trials, cfg.detectors, cfg.num_symbols
     )
-    rank_counts = {}
-    if "jio_mber_auto" in cfg.detectors:
-        counts = np.zeros(cfg.D_max + 1, dtype=np.int64)
-        for t in trials:
-            counts += np.bincount(t.selected_ranks["jio_mber_auto"], minlength=cfg.D_max + 1)
-        rank_counts["jio_mber_auto"] = counts
+    rank_counts = {
+        name: sum(np.bincount(t.selected_ranks[name], minlength=cfg.D_max + 1) for t in trials)
+        for name in trials[0].selected_ranks
+    }
     return ExperimentResult(
         config=cfg,
         ber_trace=ber_trace,
@@ -530,6 +526,10 @@ def run_monte_carlo(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         wall_time_s=time.perf_counter() - start,
         stage_s=_sum_stages(t.stage_s for t in trials),
         health=_sum_health(trials),
+        failed_trials={
+            name: (cfg.base_seed + np.flatnonzero(per_trial > FAILED_TRIAL_BER)).tolist()
+            for name, per_trial in final_trials.items()
+        },
     )
 
 
@@ -641,28 +641,6 @@ def _json_value(value):
     return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _write_sidecar(path: str, kind: str, result) -> None:
-    meta = {
-        "kind": kind,
-        "version": f"mberlink-{__version__}",
-        "environment": {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__},
-        "wall_time_s": result.wall_time_s,
-        "stage_s": result.stage_s,
-        "health": _json_value(result.health),
-        "config": _json_value(dataclasses.asdict(result.config)),
-    }
-    if kind == "trace":
-        meta["final_window"] = result.final_window
-        meta["rank_counts"] = {
-            name: counts.tolist() for name, counts in result.rank_counts.items()
-        }
-    else:
-        meta["axis"] = result.axis
-    with open(path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-
-
 def emit_csv(result, path) -> None:
     """Write an experiment or sweep result as CSV plus a JSON sidecar.
 
@@ -674,21 +652,37 @@ def emit_csv(result, path) -> None:
     path = str(path)
     if isinstance(result, ExperimentResult):
         window = result.config.smoothing_window
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("symbol_index,detector,ber\n")
-            for name, trace in result.ber_trace.items():
-                values = smooth_trace(trace, window)
-                for i, ber in enumerate(values):
-                    fh.write(f"{i},{name},{_fmt(ber)}\n")
-        _write_sidecar(path, "trace", result)
+        header = "symbol_index,detector,ber"
+        rows = [
+            f"{i},{name},{_fmt(ber)}"
+            for name, trace in result.ber_trace.items()
+            for i, ber in enumerate(smooth_trace(trace, window))
+        ]
+        meta = {
+            "kind": "trace",
+            "final_window": result.final_window,
+            "rank_counts": {name: counts.tolist() for name, counts in result.rank_counts.items()},
+            "failed_trials": result.failed_trials,
+        }
     elif isinstance(result, SweepResult):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("axis_value,detector,ber,stderr\n")
-            for row in result.rows:
-                fh.write(
-                    f"{_fmt(row.axis_value)},{row.detector},"
-                    f"{_fmt(row.ber)},{_fmt(row.stderr)}\n"
-                )
-        _write_sidecar(path, "sweep", result)
+        header = "axis_value,detector,ber,stderr"
+        rows = [
+            f"{_fmt(row.axis_value)},{row.detector},{_fmt(row.ber)},{_fmt(row.stderr)}"
+            for row in result.rows
+        ]
+        meta = {"kind": "sweep", "axis": result.axis}
     else:
         raise TypeError(f"cannot emit {type(result).__name__} as CSV")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(line + "\n" for line in [header, *rows])
+    meta.update(
+        version=f"mberlink-{__version__}",
+        environment={"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__},
+        wall_time_s=result.wall_time_s,
+        stage_s=result.stage_s,
+        health=_json_value(result.health),
+        config=_json_value(dataclasses.asdict(result.config)),
+    )
+    with open(path + ".meta.json", "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")

@@ -480,6 +480,17 @@ class TestRunTrial:
         assert ranks.shape == (n,)
         assert ranks.min() >= FAST.D_min and ranks.max() <= FAST.D_max
 
+    def test_recorded_dtypes(self):
+        """Each detector's decisions are one contiguous int8 vector (perfbench
+        hashes their bytes); only the auto detector records ranks, as int16."""
+        result = run_trial(FAST, 3)
+        for name in FAST.detectors:
+            decided = result.decisions[name]
+            assert decided.dtype == np.int8 and decided.shape == (FAST.num_symbols,)
+            assert decided.flags.c_contiguous
+        assert list(result.selected_ranks) == ["jio_mber_auto"]
+        assert result.selected_ranks["jio_mber_auto"].dtype == np.int16
+
     def test_noiseless_single_user_immediately_clean(self):
         cfg = dataclasses.replace(
             FAST,
@@ -510,13 +521,17 @@ class TestRunTrial:
         refs = _references(cfg, bits)
         for name in cfg.detectors:
             chosen = []
-            step = _detector(name, cfg, rho, chosen)
+            step = _detector(name, cfg, rho)
             for i in range(cfg.num_symbols):
-                assert step(windows[i], refs[i]) == result.decisions[name][i], (name, i)
+                decided = step(windows[i], refs[i])
+                if isinstance(decided, tuple):  # the auto detector's (decision, rank)
+                    decided, rank = decided
+                    chosen.append(rank)
+                assert decided == result.decisions[name][i], (name, i)
             if name == "jio_mber_auto":
                 assert chosen == result.selected_ranks[name].tolist()
             else:
-                assert chosen == []
+                assert chosen == [] and name not in result.selected_ranks
 
     def test_scalar_snr_required(self):
         with pytest.raises(ConfigurationError):
@@ -618,6 +633,37 @@ def _two_pass_auto_step(state, d_min, r, true_bit, training):
     decided = 1 if xr[pick] >= 0.0 else -1
     jio_step(state, r, true_bit if training else decided)
     return decided, d_min + pick
+
+
+class TestCollect:
+    """``_collect`` stacks whatever a step returns, one row per symbol."""
+
+    WINDOWS = np.arange(6, dtype=complex)[:, None]  # window i reads i
+
+    @pytest.mark.parametrize(
+        "step, shape",
+        [
+            (lambda r, b: int(r[0].real), (6,)),
+            (lambda r, b: (1, int(r[0].real)), (6, 2)),
+            (lambda r, b: np.array([-1, 1, int(r[0].real)]), (6, 3)),
+        ],
+    )
+    def test_one_row_per_symbol_in_the_steps_shape(self, step, shape):
+        rows, seconds = harness._collect("stub", step, self.WINDOWS, [None] * 6, 0)
+        assert rows.dtype == np.int16 and rows.shape == shape
+        assert np.array_equal(rows.reshape(6, -1)[:, -1], np.arange(6))
+        assert seconds >= 0.0
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_failure_names_the_symbol_in_progress(self, k):
+        def step(r, b):
+            if r[0] == k:
+                raise NumericalError("detector output is nan")
+            return 1
+
+        message = rf"^stub at symbol {k} of trial seed 42: detector output is nan$"
+        with pytest.raises(NumericalError, match=message):
+            harness._collect("stub", step, self.WINDOWS, [None] * 6, 42)
 
 
 class TestAutoAdapterReusedProjection:
@@ -926,6 +972,27 @@ class TestRunMonteCarlo:
             run_monte_carlo(FAST, jobs=jobs)
         assert err.value.field == "jobs"
 
+    def test_failed_trials_listed_by_seed(self, tmp_path):
+        """A trial fails when its final-window BER is above FAILED_TRIAL_BER.
+        At the defaults, trial seed 1234 ends with no error at any detector
+        and seed 1240 well above the threshold at every one, so each
+        detector lists no seed, then [1240], in the result and the sidecar."""
+        assert harness.FAILED_TRIAL_BER == 0.2
+        clean = run_monte_carlo(ExperimentConfig(num_trials=1, base_seed=1234))
+        assert list(clean.final_ber.values()) == [0.0] * 4
+        assert clean.failed_trials == {name: [] for name in DETECTOR_NAMES}
+        failed = run_monte_carlo(ExperimentConfig(num_trials=1, base_seed=1240))
+        assert list(failed.final_ber.values()) == [0.496, 0.454, 0.458, 0.454]
+        assert failed.failed_trials == {name: [1240] for name in DETECTOR_NAMES}
+        emit_csv(failed, tmp_path / "out.csv")
+        meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+        assert meta["failed_trials"] == failed.failed_trials
+
+    def test_failed_trials_name_the_trials_seed(self):
+        """Trial t is listed by its own seed, base_seed + t."""
+        cfg = ExperimentConfig(num_trials=2, base_seed=1239, detectors=("full_rank_lms",))
+        assert run_monte_carlo(cfg).failed_trials == {"full_rank_lms": [1240]}
+
     def test_final_window_capped_by_trace(self):
         mc = run_monte_carlo(FAST)
         assert mc.final_window == FAST.num_symbols - 0 if FAST.num_symbols < 500 else 500
@@ -1154,7 +1221,7 @@ class TestEmitCsv:
         assert set(stages) == {"synthesis", "jio_mber_fixed"}
         assert all(seconds > 0 for seconds in stages.values())
         assert sum(stages.values()) <= meta["wall_time_s"]
-        assert "rank_counts" not in meta
+        assert "rank_counts" not in meta and "failed_trials" not in meta
         # the sidecar echoes the grid the sweep ran
         grid = [2, 4, 6, 8, 10, 12, 16, 20]
         assert meta["config"]["rank_sweep"] == grid

@@ -120,7 +120,7 @@ class TestUpdateFilter:
             assert after <= before + 1e-15
 
 
-class TestUpdateProjection:
+class TestCycleProjectionHalf:
     """The projection recursion, the S half of ``jio_mber._cycle``."""
 
     def test_zero_step_leaves_projection(self):
@@ -329,7 +329,7 @@ class TestCandidateError:
                 _truncated_statistics(state, d_min, np.ones(6, dtype=complex), 1)
 
 
-class TestSelectRank:
+class TestAutoStepRankPick:
     def test_singleton_range(self):
         rng = np.random.default_rng(18)
         state = random_state(rng, m=10, d=8)
@@ -482,7 +482,7 @@ class TestTruncatedStatistics:
             )
 
 
-class TestRankSelectionConfig:
+class TestAutoStepRankRange:
     def test_rejects_bad_range(self):
         rng = np.random.default_rng(23)
         state = random_state(rng, m=6, d=5)
