@@ -11,7 +11,8 @@ for ``tr_symbols`` symbols and then None, meaning that a detector adapts
 on its own decisions.  Every decision is scored against ground truth.
 Trials are averaged into per-symbol bit-error-rate traces.  SNR and
 user-count sweeps repeat the Monte Carlo run at each grid point; the rank
-sweep runs every rank of its grid on one stream per trial.
+sweep runs every rank of its grid on one stream per trial, and each rank
+is summarized as a run at that rank.
 
 Noise level follows SNR (dB) = 10 log10(A1^2 / sigma^2) and the kernel
 radius is ``rho_multiplier * sigma`` (with ``rho_multiplier`` alone as a
@@ -139,10 +140,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         value = getattr(cfg, f.name)
         item, is_tuple = _annotation(f.type)
         kind, noun = _KINDS[item]
-        if not is_tuple and not isinstance(value, kind):
+        items = value if is_tuple and isinstance(value, tuple) else (value,)
+        # True is an Integral too, but no bool is a count, a number or a name
+        fits = all(isinstance(v, kind) and not isinstance(v, bool) for v in items)
+        if not (is_tuple or fits):
             bad(f.name, f"{f.name} must be one {noun}, got {value!r}")
-        items_ok = isinstance(value, tuple) and all(isinstance(v, kind) for v in value)
-        if is_tuple and not (items_ok or value is None is f.default):  # amplitudes' None
+        if is_tuple and not (fits and isinstance(value, tuple) or value is None is f.default):
             bad(f.name, f"{f.name} must be a tuple of {noun}s, got {value!r}")
     if cfg.N not in _GOLD_DEGREES:
         bad("N", f"spreading gain must be one of {sorted(_GOLD_DEGREES)}, got {cfg.N}")
@@ -363,7 +366,7 @@ def _synthesize(cfg: ExperimentConfig, trial_seed: int):
     users = _build_users(cfg, trial_seed)
     windows, bits = synthesize_arrays(users, cfg.num_symbols, sigma, trial_seed)
     synthesized = time.perf_counter()
-    truth = bits[:, 0]
+    truth = bits[:, 0].copy()
     # the true bit trains; None afterwards makes each detector follow itself
     refs = truth[: cfg.tr_symbols].tolist() + [None] * cfg.dd_symbols
     return rho, windows, truth, refs, synthesized - start
@@ -402,24 +405,31 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
     return TrialResult(
         errors=errors,
         decisions=decisions,
-        true_bits=truth.copy(),
+        true_bits=truth,
         selected_ranks=ranks,
         stage_s=stage_s,
         health=health,
     )
 
 
-def _rank_trial(cfg: ExperimentConfig, ranks: tuple, trial_seed: int) -> TrialResult:
-    """One rank-sweep trial: the fixed-rank detector at every rank of
-    ``ranks`` on one stream, as one stack.  Results are keyed by grid
-    index, and ``stage_s`` times the whole stack as ``jio_mber_fixed``."""
+def _rank_trial(point_cfgs, trial_seed: int) -> list:
+    """One rank-sweep trial: per config of ``point_cfgs`` (a rank each, the
+    fixed-rank detector alone) the record :func:`run_trial` gives it, from
+    every rank run as one stack on one stream.  The first record's
+    ``stage_s`` times synthesis and the whole stack; the others are empty."""
+    cfg, ranks = point_cfgs[0], tuple(c.D for c in point_cfgs)
     rho, windows, truth, refs, synthesis_s = _synthesize(cfg, trial_seed)
     stack = init_stack(cfg.M, ranks, cfg.mu_w, cfg.mu_S, cfg.J, rho)
     step = functools.partial(stack_step, stack, ranks)
-    decided, fixed_s = _collect("jio_mber_fixed", step, windows, refs, trial_seed)
-    errors = (decided != truth[:, None]).astype(np.uint8)
-    stage_s = {"synthesis": synthesis_s, "jio_mber_fixed": fixed_s}
-    return TrialResult(dict(enumerate(errors.T)), dict(enumerate(decided.T)), truth, {}, stage_s)
+    name = "jio_mber_fixed"
+    decided, fixed_s = _collect(name, step, windows, refs, trial_seed)
+    first = {"synthesis": synthesis_s, name: fixed_s}
+    return [
+        TrialResult(
+            {name: (dec != truth).astype(np.uint8)}, {name: dec.astype(np.int8)}, truth, {}, stage_s
+        )
+        for dec, stage_s in zip(decided.T, [first] + [{}] * (len(ranks) - 1))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -482,21 +492,36 @@ def _map_trials(worker, cfg: ExperimentConfig, jobs: int) -> list:
     return [worker(seed) for seed in seeds]
 
 
-def _aggregate(trials, keys, num_symbols: int):
-    """Per key of the trials' ``errors``: the BER trace, each trial's
-    final-window BER, their mean and its standard error, as four dicts."""
-    window = min(FINAL_WINDOW, num_symbols)
-    traces, per_trials, means, stderrs = {}, {}, {}, {}
-    for key in keys:
-        stacked = np.stack([t.errors[key] for t in trials])
-        traces[key] = stacked.mean(axis=0)
-        per_trial = stacked[:, num_symbols - window :].mean(axis=1)
-        per_trials[key] = per_trial
-        means[key] = float(per_trial.mean())
-        stderrs[key] = (
-            float(per_trial.std(ddof=1) / np.sqrt(len(per_trial))) if len(per_trial) > 1 else 0.0
-        )
-    return traces, per_trials, means, stderrs
+def _summarize(cfg: ExperimentConfig, trials, start: float) -> ExperimentResult:
+    """``cfg``'s trials, in seed order, as an ExperimentResult: per detector
+    the BER trace, each trial's final-window BER, their mean and its
+    standard error; ``start`` is when the run began."""
+    window = min(FINAL_WINDOW, cfg.num_symbols)
+    errors = {name: np.stack([t.errors[name] for t in trials]) for name in cfg.detectors}
+    final_trials = {name: e[:, -window:].mean(axis=1) for name, e in errors.items()}
+    n = len(trials)
+    return ExperimentResult(
+        config=cfg,
+        ber_trace={name: e.mean(axis=0) for name, e in errors.items()},
+        final_ber={name: float(ber.mean()) for name, ber in final_trials.items()},
+        final_stderr={
+            name: float(ber.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+            for name, ber in final_trials.items()
+        },
+        final_ber_trials=final_trials,
+        rank_counts={
+            name: sum(np.bincount(t.selected_ranks[name], minlength=cfg.D_max + 1) for t in trials)
+            for name in trials[0].selected_ranks
+        },
+        final_window=window,
+        wall_time_s=time.perf_counter() - start,
+        stage_s=_sum_stages(t.stage_s for t in trials),
+        health=_sum_health(trials),
+        failed_trials={
+            name: (cfg.base_seed + np.flatnonzero(ber > FAILED_TRIAL_BER)).tolist()
+            for name, ber in final_trials.items()
+        },
+    )
 
 
 def run_monte_carlo(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
@@ -507,30 +532,7 @@ def run_monte_carlo(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     any job count.
     """
     start = time.perf_counter()
-    trials = _map_trials(functools.partial(run_trial, cfg), cfg, jobs)
-    ber_trace, final_trials, final_ber, final_stderr = _aggregate(
-        trials, cfg.detectors, cfg.num_symbols
-    )
-    rank_counts = {
-        name: sum(np.bincount(t.selected_ranks[name], minlength=cfg.D_max + 1) for t in trials)
-        for name in trials[0].selected_ranks
-    }
-    return ExperimentResult(
-        config=cfg,
-        ber_trace=ber_trace,
-        final_ber=final_ber,
-        final_stderr=final_stderr,
-        final_ber_trials=final_trials,
-        rank_counts=rank_counts,
-        final_window=min(FINAL_WINDOW, cfg.num_symbols),
-        wall_time_s=time.perf_counter() - start,
-        stage_s=_sum_stages(t.stage_s for t in trials),
-        health=_sum_health(trials),
-        failed_trials={
-            name: (cfg.base_seed + np.flatnonzero(per_trial > FAILED_TRIAL_BER)).tolist()
-            for name, per_trial in final_trials.items()
-        },
-    )
+    return _summarize(cfg, _map_trials(functools.partial(run_trial, cfg), cfg, jobs), start)
 
 
 def _sum_stages(stage_dicts) -> dict:
@@ -568,7 +570,8 @@ def sweep(cfg: ExperimentConfig, axis: str, jobs: int = 1) -> SweepResult:
     The grid is read from ``snr_sweep``, ``users_sweep`` or ``rank_sweep``
     and each point sets ``snr_db``, ``K`` or ``D`` (``_SWEEP_AXES``); the
     rank axis runs the fixed-rank detector alone (the others do not
-    depend on D), every rank on one stream per trial (:func:`_rank_trial`).
+    depend on D), and each rank point is summarized as a run at that D
+    whose trials come from every rank stacked on one stream (:func:`_rank_trial`).
     Every point reuses the same trial seeds (``base_seed + t``), so points
     are paired by common random numbers: trial t sees the same fading/bit
     realizations at every grid point, which makes trends far less noisy
@@ -580,30 +583,24 @@ def sweep(cfg: ExperimentConfig, axis: str, jobs: int = 1) -> SweepResult:
     grid_key, point_key = _SWEEP_AXES[axis]
     start = time.perf_counter()
     points = getattr(cfg, grid_key)
-    point_cfgs = [dataclasses.replace(cfg, **{point_key: p}) for p in points]
-    rows, stages, health = [], [], {}
+    only = {"detectors": ("jio_mber_fixed",)} if axis == "rank" else {}
+    point_cfgs = [dataclasses.replace(cfg, **{point_key: p}, **only) for p in points]
     if axis == "rank":
-        trials = _map_trials(functools.partial(_rank_trial, cfg, points), cfg, jobs)
-        stages = [t.stage_s for t in trials]
-        _, _, ber, se = _aggregate(trials, range(len(points)), cfg.num_symbols)
-        rows = [SweepRow(float(d), "jio_mber_fixed", ber[i], se[i]) for i, d in enumerate(points)]
+        trials = _map_trials(functools.partial(_rank_trial, point_cfgs), cfg, jobs)
+        results = [_summarize(c, [t[i] for t in trials], start) for i, c in enumerate(point_cfgs)]
     else:
-        for point, point_cfg in zip(points, point_cfgs):
-            result = run_monte_carlo(point_cfg, jobs=jobs)
-            stages.append(result.stage_s)
-            if result.health:
-                health[_fmt(float(point))] = result.health
-            for name in point_cfg.detectors:
-                rows.append(
-                    SweepRow(float(point), name, result.final_ber[name], result.final_stderr[name])
-                )
+        results = [run_monte_carlo(point_cfg, jobs=jobs) for point_cfg in point_cfgs]
     return SweepResult(
         axis=axis,
-        rows=rows,
+        rows=[
+            SweepRow(float(point), name, result.final_ber[name], result.final_stderr[name])
+            for point, result in zip(points, results)
+            for name in result.config.detectors
+        ],
         config=cfg,
         wall_time_s=time.perf_counter() - start,
-        stage_s=_sum_stages(stages),
-        health=health,
+        stage_s=_sum_stages(result.stage_s for result in results),
+        health={_fmt(float(p)): r.health for p, r in zip(points, results) if r.health},
     )
 
 

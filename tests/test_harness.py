@@ -416,6 +416,22 @@ class TestValidateConfig:
             assert err.value.field == name
 
     @pytest.mark.parametrize(
+        "change",
+        [
+            {"K": True},
+            {"snr_db": False},
+            {"rank_sweep": (True, 4)},
+            {"amplitudes": (1.0, True, 1.0, 1.0, 1.0)},
+        ],
+    )
+    def test_bool_rejected(self, change):
+        """A bool is an integer to isinstance: ExperimentConfig(K=True,
+        num_trials=True) used to build and run one user over one trial."""
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig(**change)
+        assert err.value.field == next(iter(change))
+
+    @pytest.mark.parametrize(
         "name", [f.name for f in dataclasses.fields(ExperimentConfig) if f.type is float]
     )
     def test_non_number_rejected(self, name):
@@ -1056,9 +1072,11 @@ class TestSweep:
         assert err.value.field == "snr_db"
         assert calls == []
 
-    @pytest.mark.parametrize("axis", ["users", "rank"])
+    @pytest.mark.parametrize("axis", ["snr", "users", "rank"])
     def test_same_result_for_every_job_count(self, tmp_path, axis):
-        cfg = dataclasses.replace(FAST, users_sweep=(1, 2), rank_sweep=(2, 4, 6), num_trials=2)
+        cfg = dataclasses.replace(
+            FAST, snr_sweep=(8.0, 12.0), users_sweep=(1, 2), rank_sweep=(2, 4, 6), num_trials=2
+        )
         serial = sweep(cfg, axis=axis, jobs=1)
         parallel = sweep(cfg, axis=axis, jobs=2)
         assert serial.rows == parallel.rows
@@ -1080,6 +1098,34 @@ class TestSweep:
             assert (row.axis_value, row.detector) == (d, "jio_mber_fixed")
             assert row.ber == alone.final_ber["jio_mber_fixed"]
             assert row.stderr == alone.final_stderr["jio_mber_fixed"]
+
+    @pytest.mark.parametrize(
+        "cfg, seeds",
+        [
+            (dataclasses.replace(FAST, rank_sweep=(2, 6, 4)), (555, 556)),
+            (ExperimentConfig(), (1234,)),
+        ],
+    )
+    def test_rank_point_is_a_run(self, cfg, seeds):
+        """Each record of a stacked rank trial is the record run_trial gives
+        the fixed-rank detector at that D; only the first carries stage
+        seconds (synthesis and the whole stack)."""
+        point_cfgs = [
+            dataclasses.replace(cfg, D=d, detectors=("jio_mber_fixed",)) for d in cfg.rank_sweep
+        ]
+        for seed in seeds:
+            records = harness._rank_trial(point_cfgs, seed)
+            assert len(records) == len(point_cfgs)
+            for p, (point_cfg, record) in enumerate(zip(point_cfgs, records)):
+                alone = run_trial(point_cfg, seed)
+                for key in ("decisions", "errors"):
+                    got, want = getattr(record, key), getattr(alone, key)
+                    assert got.keys() == want.keys() == {"jio_mber_fixed"}
+                    np.testing.assert_array_equal(got["jio_mber_fixed"], want["jio_mber_fixed"])
+                    assert got["jio_mber_fixed"].dtype == want["jio_mber_fixed"].dtype
+                np.testing.assert_array_equal(record.true_bits, alone.true_bits)
+                stages = {"synthesis", "jio_mber_fixed"} if p == 0 else set()
+                assert set(record.stage_s) == stages
 
     def test_non_finite_chip_fails_the_rank_sweep_loudly(self, monkeypatch):
         """An infinite chip at symbol 40 stops the stack there, naming the
@@ -1107,14 +1153,13 @@ class TestSweep:
         cfg = ExperimentConfig(detectors=("jio_mber_fixed",))
         ranks = tuple(recorded["grid"])
         assert ranks == cfg.rank_sweep
+        point_cfgs = [dataclasses.replace(cfg, D=d) for d in ranks]
         got = {}
         for seed in seeds:
-            trial = harness._rank_trial(cfg, ranks, seed)
-            for i, d in enumerate(ranks):
+            for d, record in zip(ranks, harness._rank_trial(point_cfgs, seed)):
                 got[f"{d}/{seed}"] = {
-                    "jio_mber_fixed": _digest(
-                        trial.decisions[i], trial.errors[i], recorded["window"]
-                    )
+                    name: _digest(record.decisions[name], record.errors[name], recorded["window"])
+                    for name in cfg.detectors
                 }
         assert len(got) == 128
         assert got == recorded["trials"]
