@@ -75,7 +75,10 @@ def _load_config(args) -> harness.ExperimentConfig:
 
 
 def _check_out_dir(path: str) -> None:
-    """Fail before any trial runs when the directory of ``path`` is missing."""
+    """Fail before any trial runs when ``path`` is empty or a directory, or
+    when its directory is missing."""
+    if not path or os.path.isdir(path):
+        raise OSError(errno.EINVAL, "not a file path", path)
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise FileNotFoundError(errno.ENOENT, "no such directory", directory)
@@ -100,7 +103,7 @@ def _cmd_sweep(args) -> int:
     _check_out_dir(args.out)
     result = harness.sweep(cfg, axis=args.axis, jobs=args.jobs)
     harness.emit_csv(result, args.out)
-    print(f"wrote {args.out} ({len(result.rows)} rows, {result.wall_time_s:.1f}s)")
+    print(f"wrote {args.out} ({len(result.points)} points, {result.wall_time_s:.1f}s)")
     return 0
 
 

@@ -12,7 +12,7 @@ on its own decisions.  Every decision is scored against ground truth.
 Trials are averaged into per-symbol bit-error-rate traces.  SNR and
 user-count sweeps repeat the Monte Carlo run at each grid point; the rank
 sweep runs every rank of its grid on one stream per trial, and each rank
-is summarized as a run at that rank.
+is summarized as a run at that rank.  A sweep result keeps every point's run.
 
 Noise level follows SNR (dB) = 10 log10(A1^2 / sigma^2) and the kernel
 radius is ``rho_multiplier * sigma`` (with ``rho_multiplier`` alone as a
@@ -457,18 +457,12 @@ class ExperimentResult:
     failed_trials: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    axis_value: float
-    detector: str
-    ber: float
-    stderr: float
-
-
 @dataclass
 class SweepResult:
+    """Each grid point's run along ``axis``, in grid order."""
+
     axis: str
-    rows: list
+    points: list
     config: ExperimentConfig
     wall_time_s: float
     # stage seconds summed over every grid point's trials
@@ -565,7 +559,7 @@ def _sum_health(trials) -> dict:
 
 
 def sweep(cfg: ExperimentConfig, axis: str, jobs: int = 1) -> SweepResult:
-    """Final BER at each grid point along ``snr``, ``users`` or ``rank``.
+    """Each grid point along ``snr``, ``users`` or ``rank``, run as an ExperimentResult.
 
     The grid is read from ``snr_sweep``, ``users_sweep`` or ``rank_sweep``
     and each point sets ``snr_db``, ``K`` or ``D`` (``_SWEEP_AXES``); the
@@ -582,25 +576,21 @@ def sweep(cfg: ExperimentConfig, axis: str, jobs: int = 1) -> SweepResult:
         raise ConfigurationError(f"axis must be one of {tuple(_SWEEP_AXES)}, got {axis!r}")
     grid_key, point_key = _SWEEP_AXES[axis]
     start = time.perf_counter()
-    points = getattr(cfg, grid_key)
+    grid = getattr(cfg, grid_key)
     only = {"detectors": ("jio_mber_fixed",)} if axis == "rank" else {}
-    point_cfgs = [dataclasses.replace(cfg, **{point_key: p}, **only) for p in points]
+    point_cfgs = [dataclasses.replace(cfg, **{point_key: p}, **only) for p in grid]
     if axis == "rank":
         trials = _map_trials(functools.partial(_rank_trial, point_cfgs), cfg, jobs)
-        results = [_summarize(c, [t[i] for t in trials], start) for i, c in enumerate(point_cfgs)]
+        points = [_summarize(c, [t[i] for t in trials], start) for i, c in enumerate(point_cfgs)]
     else:
-        results = [run_monte_carlo(point_cfg, jobs=jobs) for point_cfg in point_cfgs]
+        points = [run_monte_carlo(point_cfg, jobs=jobs) for point_cfg in point_cfgs]
     return SweepResult(
         axis=axis,
-        rows=[
-            SweepRow(float(point), name, result.final_ber[name], result.final_stderr[name])
-            for point, result in zip(points, results)
-            for name in result.config.detectors
-        ],
+        points=points,
         config=cfg,
         wall_time_s=time.perf_counter() - start,
-        stage_s=_sum_stages(result.stage_s for result in results),
-        health={_fmt(float(p)): r.health for p, r in zip(points, results) if r.health},
+        stage_s=_sum_stages(point.stage_s for point in points),
+        health={_fmt(p): point.health for p, point in zip(grid, points) if point.health},
     )
 
 
@@ -642,9 +632,9 @@ def emit_csv(result, path) -> None:
     """Write an experiment or sweep result as CSV plus a JSON sidecar.
 
     Trace results use ``symbol_index,detector,ber`` rows (optionally
-    smoothed per the config); sweeps use
-    ``axis_value,detector,ber,stderr``.  Numeric values carry 6
-    significant digits.  Output is deterministic for a given result.
+    smoothed per the config); sweeps use ``axis_value,detector,ber,stderr``
+    rows, one per grid point and detector, from that point's run.  Numeric
+    values carry 6 significant digits.  Output is deterministic for a given result.
     """
     path = str(path)
     if isinstance(result, ExperimentResult):
@@ -663,9 +653,12 @@ def emit_csv(result, path) -> None:
         }
     elif isinstance(result, SweepResult):
         header = "axis_value,detector,ber,stderr"
+        point_key = _SWEEP_AXES[result.axis][1]
         rows = [
-            f"{_fmt(row.axis_value)},{row.detector},{_fmt(row.ber)},{_fmt(row.stderr)}"
-            for row in result.rows
+            f"{_fmt(getattr(point.config, point_key))},{name},"
+            f"{_fmt(point.final_ber[name])},{_fmt(point.final_stderr[name])}"
+            for point in result.points
+            for name in point.config.detectors
         ]
         meta = {"kind": "sweep", "axis": result.axis}
     else:

@@ -159,12 +159,19 @@ def _never_called(*args, **kwargs):
     [(["run"], "run_monte_carlo"), (["sweep", "--axis", "snr"], "sweep")],
     ids=["run", "sweep"],
 )
+@pytest.mark.parametrize("out", ["missing_dir", "existing_dir", "empty"])
 def test_missing_out_dir_fails_before_any_trial(
-    fast_config, tmp_path, capsys, monkeypatch, argv, runner
+    fast_config, tmp_path, capsys, monkeypatch, argv, runner, out
 ):
+    """An --out whose directory is missing, that is a directory, or that is
+    empty names no file to write: exit 3 before the first trial."""
     monkeypatch.setattr(harness, runner, _never_called)
-    missing = tmp_path / "no_such_dir" / "out.csv"
-    code = main(argv + ["--config", str(fast_config), "--out", str(missing)])
+    path = {
+        "missing_dir": str(tmp_path / "no_such_dir" / "out.csv"),
+        "existing_dir": str(tmp_path),
+        "empty": "",
+    }[out]
+    code = main(argv + ["--config", str(fast_config), "--out", path])
     assert code == 3
     assert capsys.readouterr().err.startswith("i/o error: ")
 

@@ -65,6 +65,21 @@ def _recorded_digests(workload):
     return recorded, sorted({int(key.split("/")[1]) for key in recorded["trials"]})
 
 
+def _assert_same_run(got, want):
+    """Two ExperimentResults agree in every figure a run measures."""
+    assert got.config == want.config
+    for key in ("ber_trace", "final_ber_trials"):
+        got_arrays, want_arrays = getattr(got, key), getattr(want, key)
+        assert got_arrays.keys() == want_arrays.keys()
+        for name in want_arrays:
+            np.testing.assert_array_equal(got_arrays[name], want_arrays[name])
+    for key in ("final_ber", "final_stderr", "failed_trials", "health"):
+        assert getattr(got, key) == getattr(want, key)
+    assert got.rank_counts.keys() == want.rank_counts.keys()
+    for name in want.rank_counts:
+        np.testing.assert_array_equal(got.rank_counts[name], want.rank_counts[name])
+
+
 def _digest(decisions, errors, window):
     dec = np.asarray(decisions, dtype=np.int8)
     return [hashlib.sha256(dec.tobytes()).hexdigest()[:16], int(errors[-window:].sum())]
@@ -1045,19 +1060,22 @@ class TestSweep:
     def test_singleton_snr_sweep(self):
         cfg = dataclasses.replace(FAST, snr_sweep=(10.0,))
         result = sweep(cfg, axis="snr")
-        assert len(result.rows) == len(cfg.detectors)
-        assert {row.detector for row in result.rows} == set(cfg.detectors)
-        assert all(row.axis_value == 10.0 for row in result.rows)
+        (point,) = result.points
+        assert point.config.detectors == cfg.detectors
+        assert point.final_ber.keys() == point.final_stderr.keys() == set(cfg.detectors)
+        assert point.config.snr_db == 10.0
 
     def test_users_sweep_points(self):
         cfg = dataclasses.replace(FAST, users_sweep=(1, 2), num_trials=2)
         result = sweep(cfg, axis="users")
-        assert sorted({row.axis_value for row in result.rows}) == [1.0, 2.0]
+        assert [point.config.K for point in result.points] == [1, 2]
 
     def test_rank_sweep_restricted_to_fixed_detector(self):
         cfg = dataclasses.replace(FAST, rank_sweep=(2, 4), num_trials=2)
         result = sweep(cfg, axis="rank")
-        assert {row.detector for row in result.rows} == {"jio_mber_fixed"}
+        for point in result.points:
+            assert point.config.detectors == ("jio_mber_fixed",)
+            assert point.final_ber.keys() == point.final_stderr.keys() == {"jio_mber_fixed"}
 
     @pytest.mark.parametrize("axis", ["users", "rank"])
     def test_snr_list_rejected_off_the_snr_axis(self, axis, monkeypatch):
@@ -1079,25 +1097,33 @@ class TestSweep:
         )
         serial = sweep(cfg, axis=axis, jobs=1)
         parallel = sweep(cfg, axis=axis, jobs=2)
-        assert serial.rows == parallel.rows
+        assert len(serial.points) == len(parallel.points) == len(getattr(cfg, f"{axis}_sweep"))
+        for got, want in zip(parallel.points, serial.points):
+            _assert_same_run(got, want)
         assert serial.health == parallel.health
         serial_csv, parallel_csv = tmp_path / "serial.csv", tmp_path / "parallel.csv"
         emit_csv(serial, serial_csv)
         emit_csv(parallel, parallel_csv)
         assert serial_csv.read_bytes() == parallel_csv.read_bytes()
 
-    def test_rank_points_equal_their_own_runs(self):
-        """Each rank of the stacked sweep gives the BER and stderr of a
-        fixed-rank run at that D (FAST: D_max = 6 is the unpadded rank)."""
-        cfg = dataclasses.replace(FAST, rank_sweep=(2, 6, 4), num_trials=3)
-        rows = sweep(cfg, axis="rank").rows
-        for row, d in zip(rows, cfg.rank_sweep):
-            alone = run_monte_carlo(
-                dataclasses.replace(cfg, D=d, detectors=("jio_mber_fixed",))
-            )
-            assert (row.axis_value, row.detector) == (d, "jio_mber_fixed")
-            assert row.ber == alone.final_ber["jio_mber_fixed"]
-            assert row.stderr == alone.final_stderr["jio_mber_fixed"]
+    @pytest.mark.parametrize(
+        "axis, point_key, grid, only",
+        [
+            ("snr", "snr_db", (8.0, 12.0), {}),
+            ("users", "K", (1, 2), {}),
+            # the stacked rank sweep (FAST: D_max = 6 is the unpadded rank)
+            ("rank", "D", (2, 6, 4), {"detectors": ("jio_mber_fixed",)}),
+        ],
+    )
+    def test_points_equal_their_own_runs(self, axis, point_key, grid, only):
+        """Each grid point of a sweep is the run at that point: the same
+        traces, per-trial BERs, summaries, failed trials, ranks and health."""
+        cfg = dataclasses.replace(FAST, **{f"{axis}_sweep": grid}, num_trials=3)
+        points = sweep(cfg, axis=axis).points
+        assert len(points) == len(grid)
+        for point, value in zip(points, grid):
+            alone = run_monte_carlo(dataclasses.replace(cfg, **{point_key: value}, **only))
+            _assert_same_run(point, alone)
 
     @pytest.mark.parametrize(
         "cfg, seeds",
@@ -1202,7 +1228,7 @@ class TestEmitCsv:
         emit_csv(empty_trace, path)
         assert path.read_text() == "symbol_index,detector,ber\n"
 
-        empty_sweep = SweepResult(axis="snr", rows=[], config=FAST, wall_time_s=0.0)
+        empty_sweep = SweepResult(axis="snr", points=[], config=FAST, wall_time_s=0.0)
         path2 = tmp_path / "empty_sweep.csv"
         emit_csv(empty_sweep, path2)
         assert path2.read_text() == "axis_value,detector,ber,stderr\n"
@@ -1238,7 +1264,13 @@ class TestEmitCsv:
         emit_csv(result, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "axis_value,detector,ber,stderr"
-        assert len(lines) == 1 + len(result.rows)
+        assert len(lines) == 1 + len(result.points) * len(cfg.detectors)
+        (point,) = result.points
+        assert lines[1:] == [
+            f"8,{name},{harness._fmt(point.final_ber[name])},"
+            f"{harness._fmt(point.final_stderr[name])}"
+            for name in cfg.detectors
+        ]
 
     def test_sidecar_metadata(self, tmp_path):
         mc = run_monte_carlo(FAST)
@@ -1270,7 +1302,7 @@ class TestEmitCsv:
         # the sidecar echoes the grid the sweep ran
         grid = [2, 4, 6, 8, 10, 12, 16, 20]
         assert meta["config"]["rank_sweep"] == grid
-        assert [row.axis_value for row in swept.rows] == grid
+        assert [point.config.D for point in swept.points] == grid
 
     def test_sidecars_name_the_software_environment(self, tmp_path):
         import platform
