@@ -3,6 +3,7 @@
 from ._version import __version__
 from .baselines import FullRankState, init_full_rank, lms_update, mber_full_rank_update
 from .complexity import Algorithm, OpCountReport, complexity_sweep, op_count
+from .config import ExperimentConfig, parse_config
 from .detector_core import (
     error_probability,
     gradient_S,
@@ -10,16 +11,7 @@ from .detector_core import (
     q_function,
 )
 from .errors import ConfigParseError, ConfigurationError, NumericalError
-from .harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    SweepResult,
-    emit_csv,
-    parse_config,
-    run_monte_carlo,
-    run_trial,
-    sweep,
-)
+from .harness import run_monte_carlo, run_trial, sweep
 from .jio_mber import (
     JioState,
     auto_step,
@@ -28,6 +20,7 @@ from .jio_mber import (
     scale_filter,
     update_filter,
 )
+from .results import ExperimentResult, SweepResult, emit_csv
 from .signal_model import (
     JakesChannel,
     SpreadingCode,

@@ -15,7 +15,9 @@ import sys
 from . import harness
 from ._version import __version__
 from .complexity import Algorithm, complexity_sweep, write_complexity_csv
+from .config import _FIELD_PARSERS, _SWEEP_AXES, DETECTOR_NAMES, ExperimentConfig, parse_config
 from .errors import ConfigurationError
+from .results import emit_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--detectors",
             metavar="LIST",
-            help="comma list from: " + ",".join(harness.DETECTOR_NAMES),
+            help="comma list from: " + ",".join(DETECTOR_NAMES),
         )
         p.add_argument("--out", metavar="PATH", default="out.csv", help="CSV output path")
         p.add_argument("--jobs", type=int, default=1, help="parallel trial processes")
@@ -43,9 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="BER versus a swept parameter")
     add_common(sweep_p)
-    sweep_p.add_argument(
-        "--axis", choices=tuple(harness._SWEEP_AXES), required=True, help="sweep axis"
-    )
+    sweep_p.add_argument("--axis", choices=tuple(_SWEEP_AXES), required=True, help="sweep axis")
 
     cx_p = sub.add_parser("complexity", help="per-symbol operation-count table")
     cx_p.add_argument("--out", metavar="PATH", default="complexity.csv")
@@ -62,15 +62,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> harness.ExperimentConfig:
-    cfg = harness.parse_config(args.config) if args.config else harness.ExperimentConfig()
+def _load_config(args) -> ExperimentConfig:
+    cfg = parse_config(args.config) if args.config else ExperimentConfig()
     overrides = {}
     if args.seed is not None:
         overrides["base_seed"] = args.seed
     if args.trials is not None:
         overrides["num_trials"] = args.trials
     if args.detectors is not None:
-        overrides["detectors"] = harness._FIELD_PARSERS["detectors"](args.detectors)
+        overrides["detectors"] = _FIELD_PARSERS["detectors"](args.detectors)
     return dataclasses.replace(cfg, **overrides)
 
 
@@ -88,7 +88,7 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args)
     _check_out_dir(args.out)
     result = harness.run_monte_carlo(cfg, jobs=args.jobs)
-    harness.emit_csv(result, args.out)
+    emit_csv(result, args.out)
     print(f"wrote {args.out} ({result.config.num_trials} trials, {result.wall_time_s:.1f}s)")
     for name in cfg.detectors:
         print(
@@ -102,7 +102,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     _check_out_dir(args.out)
     result = harness.sweep(cfg, axis=args.axis, jobs=args.jobs)
-    harness.emit_csv(result, args.out)
+    emit_csv(result, args.out)
     print(f"wrote {args.out} ({len(result.points)} points, {result.wall_time_s:.1f}s)")
     return 0
 

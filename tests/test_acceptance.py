@@ -21,16 +21,10 @@ from mberlink.detector_core import (
     gradient_w,
     q_function,
 )
-from mberlink.harness import (
-    ExperimentConfig,
-    emit_csv,
-    kernel_radius,
-    noise_sigma,
-    run_monte_carlo,
-    run_trial,
-    _build_users,
-)
+from mberlink.config import ExperimentConfig, kernel_radius, noise_sigma
+from mberlink.harness import _build_users, run_monte_carlo, run_trial
 from mberlink.jio_mber import JioState, jio_step, init_state, scale_filter, update_filter
+from mberlink.results import emit_csv
 from mberlink.signal_model import generate_gold_family, synthesize_arrays
 
 JOBS = 2

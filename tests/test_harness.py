@@ -11,26 +11,21 @@ import re
 import numpy as np
 import pytest
 
-from mberlink import harness
+from mberlink import harness, results
 from mberlink.cli import main as cli_main
-from mberlink.errors import ConfigParseError, ConfigurationError, NumericalError
-from mberlink.harness import (
+from mberlink.config import (
     DETECTOR_NAMES,
     ExperimentConfig,
-    _detector,
-    emit_csv,
     kernel_radius,
     noise_sigma,
     parse_config,
-    run_monte_carlo,
-    run_trial,
-    smooth_trace,
-    sweep,
     validate_config,
 )
+from mberlink.errors import ConfigParseError, ConfigurationError, NumericalError
+from mberlink.harness import _build_users, _detector, run_monte_carlo, run_trial, sweep
+from mberlink.results import ExperimentResult, SweepResult, emit_csv, smooth_trace
 from mberlink.baselines import init_full_rank
 from mberlink.detector_core import q_function
-from mberlink.harness import _build_users
 from mberlink.jio_mber import auto_step, init_state, jio_step
 from mberlink.signal_model import synthesize_arrays
 
@@ -493,9 +488,12 @@ class TestRunTrial:
         assert np.array_equal(a.true_bits, b.true_bits)
 
     def test_error_recount_oracle(self):
-        """Errors derived after the loop equal decisions != truth, as uint8."""
+        """Errors are derived from the record, not stored in it: for every
+        detector they equal decisions != truth, as uint8."""
+        assert set(FAST.detectors) == set(DETECTOR_NAMES)
         for seed in (7, 8):
             result = run_trial(FAST, seed)
+            assert "errors" not in vars(result)
             for name in FAST.detectors:
                 recount = (result.decisions[name] != result.true_bits).astype(np.uint8)
                 assert result.errors[name].dtype == np.uint8
@@ -1150,6 +1148,10 @@ class TestSweep:
                     np.testing.assert_array_equal(got["jio_mber_fixed"], want["jio_mber_fixed"])
                     assert got["jio_mber_fixed"].dtype == want["jio_mber_fixed"].dtype
                 np.testing.assert_array_equal(record.true_bits, alone.true_bits)
+                assert "errors" not in vars(record)
+                recount = record.decisions["jio_mber_fixed"] != record.true_bits
+                assert record.errors["jio_mber_fixed"].dtype == np.uint8
+                np.testing.assert_array_equal(record.errors["jio_mber_fixed"], recount)
                 stages = {"synthesis", "jio_mber_fixed"} if p == 0 else set()
                 assert set(record.stage_s) == stages
 
@@ -1209,11 +1211,33 @@ class TestSweep:
         assert err.value.field == "amplitudes"
         assert calls == []
 
+    def test_benchmark_reads_its_names_off_harness(self, monkeypatch):
+        """The benchmark worker reads these names off harness and hooks
+        harness.run_trial for its per-trial digests, so a run and every SNR
+        or users sweep point reach run_trial through that binding."""
+        for name in ("parse_config", "emit_csv", "run_trial", "run_monte_carlo", "sweep"):
+            assert callable(getattr(harness, name, None)), name
+        assert harness.parse_config is parse_config and harness.emit_csv is emit_csv
+        assert harness.FINAL_WINDOW == 500
+        calls = []
+        original = harness.run_trial
+
+        def counting(cfg, trial_seed):
+            calls.append(trial_seed)
+            return original(cfg, trial_seed)
+
+        monkeypatch.setattr(harness, "run_trial", counting)
+        cfg = dataclasses.replace(FAST, num_trials=2, snr_sweep=(10.0, 15.0), users_sweep=(1, 2))
+        run_monte_carlo(cfg)
+        assert len(calls) == cfg.num_trials
+        for axis in ("snr", "users"):
+            calls.clear()
+            sweep(cfg, axis=axis)
+            assert len(calls) == cfg.num_trials * 2, axis
+
 
 class TestEmitCsv:
     def test_empty_result_writes_header_only(self, tmp_path):
-        from mberlink.harness import ExperimentResult, SweepResult
-
         empty_trace = ExperimentResult(
             config=FAST,
             ber_trace={},
@@ -1267,8 +1291,8 @@ class TestEmitCsv:
         assert len(lines) == 1 + len(result.points) * len(cfg.detectors)
         (point,) = result.points
         assert lines[1:] == [
-            f"8,{name},{harness._fmt(point.final_ber[name])},"
-            f"{harness._fmt(point.final_stderr[name])}"
+            f"8,{name},{results._fmt(point.final_ber[name])},"
+            f"{results._fmt(point.final_stderr[name])}"
             for name in cfg.detectors
         ]
 

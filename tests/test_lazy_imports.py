@@ -20,7 +20,8 @@ _GUARD = """
 import dataclasses, sys
 import numpy as np
 import mberlink.cli
-from mberlink.harness import ExperimentConfig, run_monte_carlo, run_trial
+from mberlink.config import ExperimentConfig
+from mberlink.harness import run_monte_carlo, run_trial
 from mberlink.jio_mber import auto_step, init_state
 cfg = dataclasses.replace(ExperimentConfig(), tr_symbols=20, dd_symbols=30, num_trials=2)
 run_trial(cfg, cfg.base_seed)
