@@ -1,6 +1,6 @@
 """Runnable full-rank reference detectors: LMS (MSE) and MBER SG."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,6 @@ class FullRankState:
     w: np.ndarray
     mu: float
     rho: float | None = None
-    scaling_skipped: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         if not self.mu >= 0:
@@ -46,9 +45,9 @@ def mber_full_rank_update(
     decides and returns the decision as :func:`lms_update` does.
 
     This is the reduced-rank filter recursion specialized to an identity
-    projection at full rank, followed by scaling to ||w|| = 1 (skipped,
-    and flagged, while the filter is still the all-zero init); a
-    non-finite output or norm raises :class:`~mberlink.errors.NumericalError`.
+    projection at full rank, followed by scaling to ||w|| = 1 (skipped
+    while the filter is still the all-zero init); a non-finite output or
+    norm raises :class:`~mberlink.errors.NumericalError`.
     """
     if state.rho is None or not state.rho > 0:
         raise ConfigurationError("MBER update requires a positive rho")
@@ -57,5 +56,5 @@ def mber_full_rank_update(
     decided = _decide(xr)
     c = _mber_factor(xr, decided if b_known is None else b_known, state.rho)
     w_next = w + (state.mu * c) * (r - xr * w)
-    state.w, _, state.scaling_skipped = _unit_norm(w_next, w_next)
+    state.w = _unit_norm(w_next, w_next)[0]
     return decided

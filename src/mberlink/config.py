@@ -84,12 +84,15 @@ class ExperimentConfig:
         return self.tr_symbols + self.dd_symbols
 
 
-def _noise_computable(cfg: ExperimentConfig, snr_db: float) -> bool:
-    """Whether :func:`noise_sigma` is finite at ``snr_db`` (0 at inf: noiseless)."""
+def _radius_computable(cfg: ExperimentConfig, snr_db: float) -> bool:
+    """Whether :func:`noise_sigma` is finite at ``snr_db`` (0 at inf: noiseless)
+    and its :func:`kernel_radius` ``rho`` keeps ``2 rho^2 > 0``."""
     try:
-        return math.isfinite(noise_sigma(cfg, snr_db))
+        sigma = noise_sigma(cfg, snr_db)
+        rho = kernel_radius(cfg, sigma)
     except (OverflowError, ZeroDivisionError):  # 10^(snr_db/20) beyond a float
         return False
+    return math.isfinite(sigma) and 2.0 * rho * rho > 0  # as init_state needs
 
 
 def _annotation(kind) -> tuple[type, bool]:
@@ -131,8 +134,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     # tap 0 is the reference; a later tap of -inf dB is a path with no power
     if not (math.isfinite(profile[0]) and all(p < math.inf for p in profile)):
         bad("power_profile_db", "power_profile_db must be below inf dB, with tap 0 finite")
-    if not 1 <= cfg.D_min <= cfg.D_max <= cfg.M:
-        bad("D_min", f"need 1 <= D_min <= D_max <= M={cfg.M}")
+    if not cfg.D_max <= cfg.M:
+        bad("D_max", f"need D_max <= M={cfg.M}, got {cfg.D_max}")
+    if not 1 <= cfg.D_min <= cfg.D_max:
+        bad("D_min", f"need 1 <= D_min <= D_max={cfg.D_max}, got {cfg.D_min}")
     lowest = {"J": 1, "tr_symbols": 1, "dd_symbols": 0, "num_trials": 1, "base_seed": 0}
     for name, least in lowest.items():
         if getattr(cfg, name) < least:
@@ -149,7 +154,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             bad("amplitudes", "amplitudes must be finite and positive")
     # one rule per swept value, for it and its grid; after amplitudes, which set the noise
     rules = {
-        "snr_db": (lambda s: _noise_computable(cfg, s), "snr_db not NaN, with a noise level"),
+        "snr_db": (lambda s: _radius_computable(cfg, s),
+                   "snr_db not NaN, with a noise level and a kernel radius rho of 2 rho^2 > 0"),
         "K": (lambda k: 1 <= k <= family_size, f"1 <= K <= {family_size}"),
         "D": (lambda d: 1 <= d <= cfg.M, f"1 <= D <= M={cfg.M}"),
     }

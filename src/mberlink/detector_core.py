@@ -71,8 +71,7 @@ def _mber_factor(xr, b, rho, n=1.0):
 
 
 def _unit_norm(w, sw):
-    """``(w / s, s, False)`` with ``s = ||sw||``, or ``(w, 1.0, True)`` when
-    ``s^2`` is ~0.
+    """``(w / s, s)`` with ``s = ||sw||``, or ``(w, 1.0)`` when ``s^2`` is ~0.
 
     ``sw`` is ``S w`` for a reduced-rank filter and ``w`` itself at full
     rank; a caller that needs ``sw / s`` as well divides by the returned
@@ -82,9 +81,9 @@ def _unit_norm(w, sw):
     if not math.isfinite(norm_sq):
         raise NumericalError(f"filter norm is {norm_sq}")
     if norm_sq < _NORM_EPS:
-        return w, 1.0, True
+        return w, 1.0
     s = math.sqrt(norm_sq)
-    return w / s, s, False
+    return w / s, s
 
 
 def _direction(projection: np.ndarray, w: np.ndarray, r: np.ndarray, b: int, rho: float):

@@ -26,17 +26,18 @@ one stream at once, zero-padded to the largest rank (the rank sweep);
 one state alone is faster through :func:`jio_step`.
 
 :func:`auto_step` is a rank reading plus :func:`jio_step`: it
-truncates the leading columns/entries of a state adapted at the maximum
-allowed rank, renormalizes, reads off the rank whose single-sample
-error-probability estimate is smallest, and then steps the full state
-with :func:`jio_step`.  Its decision-directed decisions are therefore
-those of the fixed detector at the maximum rank, by construction; in
-training it decides at the rank the true bit picked.
+scores every truncation to the leading columns/entries of a state
+adapted at the maximum allowed rank, steps the full state with
+:func:`jio_step`, and then reads off the rank whose renormalized
+single-sample error-probability estimate is smallest for the decision
+that step made (or the training bit).  Its decision-directed decisions
+are therefore those of the fixed detector at the maximum rank, by
+construction; in training it decides at the rank the true bit picked.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +48,7 @@ from .errors import ConfigurationError, NumericalError
 @dataclass
 class JioState:
     """Mutable adaptation state: projection S (M x D) and filter w (D), or
-    P of them stacked along a leading axis (:func:`init_stack`).
-    ``scaling_skipped``: some cycle of the last step skipped its scaling."""
+    P of them stacked along a leading axis (:func:`init_stack`)."""
 
     S: np.ndarray
     w: np.ndarray
@@ -56,7 +56,6 @@ class JioState:
     mu_S: float
     J: int
     rho: float
-    scaling_skipped: bool | np.ndarray = field(default=False, repr=False)  # (P,) in a stack
 
 
 def init_state(
@@ -105,11 +104,11 @@ def update_filter(state: JioState, r: np.ndarray, b: int) -> np.ndarray:
 
 
 def scale_filter(state: JioState) -> JioState:
-    """Rescale w so that w^H S^H S w = 1; skipped (and flagged) near zero.
+    """Rescale w so that w^H S^H S w = 1; skipped near zero.
 
     A non-finite norm raises :class:`~mberlink.errors.NumericalError`.
     """
-    state.w, _, state.scaling_skipped = _unit_norm(state.w, state.S @ state.w)
+    state.w = _unit_norm(state.w, state.S @ state.w)[0]
     return state
 
 
@@ -127,7 +126,7 @@ def jio_step(state: JioState, r: np.ndarray, b_known: int | None = None) -> int:
     single-state adaptation path, :func:`auto_step`'s too.  A non-finite
     output raises :class:`~mberlink.errors.NumericalError`.
     """
-    S, w, any_skipped = state.S, state.w, False
+    S, w = state.S, state.w
     sw = S @ w
     xr = float(np.vdot(sw, r).real)
     decided = _decide(xr)
@@ -135,10 +134,9 @@ def jio_step(state: JioState, r: np.ndarray, b_known: int | None = None) -> int:
     for _ in range(state.J):
         S, w_next = _cycle(S, w, r, b, state.rho, state.mu_w, state.mu_S, sw, xr)
         sw = S @ w_next
-        w, s, skipped = _unit_norm(w_next, sw)
-        any_skipped |= skipped
+        w, s = _unit_norm(w_next, sw)
         sw, xr = sw / s, None
-    state.S, state.w, state.scaling_skipped = S, w, any_skipped
+    state.S, state.w = S, w
     return decided
 
 
@@ -172,7 +170,7 @@ def stack_step(stack: JioState, ranks, r: np.ndarray, b_known: int | None = None
     state below the largest rank can differ from its own in the last bits.
     A non-finite output or filter norm raises NumericalError naming the rank.
     """
-    S, w, rho, any_skipped = stack.S, stack.w, stack.rho, False
+    S, w, rho = stack.S, stack.w, stack.rho
     rc = r.conj()[:, None]  # Re(sw . conj r) rounds as np.vdot(sw, r).real
     sw = (S @ w[:, :, None])[:, :, 0]
     for j in range(stack.J):
@@ -190,16 +188,14 @@ def stack_step(stack: JioState, ranks, r: np.ndarray, b_known: int | None = None
         sw = (S @ w_next[:, :, None])[:, :, 0]
         norm_sq = (sw.conj()[:, None, :] @ sw[:, :, None])[:, 0, 0].real
         _check_finite(ranks, norm_sq, "filter norm")
-        skipped = norm_sq < _NORM_EPS
-        any_skipped |= skipped
         # dividing by 1 keeps a filter whose norm is ~0, as _unit_norm does
-        s = np.where(skipped, 1.0, np.sqrt(norm_sq))[:, None]
+        s = np.where(norm_sq < _NORM_EPS, 1.0, np.sqrt(norm_sq))[:, None]
         w, sw = w_next / s, sw / s
-    stack.w, stack.scaling_skipped = w, any_skipped
+    stack.w = w
     return decided
 
 
-def _truncated_statistics(state: JioState, d_min: int, r: np.ndarray, b: int | None = None):
+def _truncated_statistics(state: JioState, d_min: int, r: np.ndarray):
     """Rank-selection statistics of the truncations ``d_min .. D``, D the
     state's own rank.
 
@@ -207,9 +203,9 @@ def _truncated_statistics(state: JioState, d_min: int, r: np.ndarray, b: int | N
     ``S_d w_d``, column ``d`` of the prefix sums of ``S w`` (no
     renormalization), and from it ``Re[x_d] = Re(r^H S_d w_d)`` and
     ``n_d = ||S_d w_d||^2``.  Returns ``(stat, xr)``: entry ``i`` of
-    ``stat`` is ``b Re[x_d] / sqrt(n_d)`` for ``d = d_min + i``, or 0 where
-    ``n_d`` vanishes; ``xr`` holds the same ``Re[x_d]``.  ``b=None`` takes
-    the full state's own decision as reference.
+    ``stat`` is ``Re[x_d] / sqrt(n_d)`` for ``d = d_min + i``, or 0 where
+    ``n_d`` vanishes; ``xr`` holds the same ``Re[x_d]``.  No bit enters:
+    ``b * stat`` scores the truncations against a bit ``b``.
     """
     D = state.w.shape[0]
     if not 1 <= d_min <= D:
@@ -220,27 +216,25 @@ def _truncated_statistics(state: JioState, d_min: int, r: np.ndarray, b: int | N
     xr = x.real[d_min - 1 :]
     nn = n[d_min - 1 :]
     valid = nn >= _NORM_EPS
-    if b is None:
-        b = _decide(x.real[D - 1])
-    stat = np.where(valid, b * xr / np.sqrt(np.where(valid, nn, 1.0)), 0.0)
+    stat = np.where(valid, xr / np.sqrt(np.where(valid, nn, 1.0)), 0.0)
     return stat, xr
 
 
 def auto_step(
     state: JioState, d_min: int, r: np.ndarray, b_known: int | None = None
 ) -> tuple[int, int]:
-    """Read the rank in ``[d_min, D]`` minimizing the truncated error
-    estimate off the state as it stands, then :func:`jio_step` the full
-    rank-D state; return ``(decision, rank)``.
+    """Score every truncation of the state as it stands, :func:`jio_step`
+    the full rank-D state, and return ``(decision, rank)``, the rank in
+    ``[d_min, D]`` whose truncated error estimate for the bit is least.
 
     Each truncation to the leading ``d`` taps and columns is rescaled to
     unit norm and scored by ``Q(b Re[x_d] / rho)``; one with vanishing
     norm is uninformative and scores 0.5.  Ties break toward the smallest
-    rank.  ``b_known`` is the training bit and also drives the updates.
-    ``None`` references the full state's own decision: scoring every
-    candidate against its own sign (pure confidence) proved unstable in
-    decision-directed operation, as it lets an interference-dominated
-    truncation hijack the decision feedback.
+    rank.  The bit ``b`` is ``b_known`` (training), which also drives the
+    updates, or, when it is None, the decision :func:`jio_step` just made:
+    scoring every candidate against its own sign (pure confidence) proved
+    unstable in decision-directed operation, as it lets an
+    interference-dominated truncation hijack the decision feedback.
 
     With ``b_known`` None the decision is :func:`jio_step`'s own, so state
     and decisions are those of the fixed detector at rank D by
@@ -248,9 +242,9 @@ def auto_step(
     With a training bit the decision is the pick's, label-aided: right
     whenever any truncation's is.
     """
-    stat, xr = _truncated_statistics(state, d_min, r, b_known)
-    pick = int(np.argmax(stat))
+    stat, xr = _truncated_statistics(state, d_min, r)
     decided = jio_step(state, r, b_known)
+    pick = int(np.argmax((decided if b_known is None else b_known) * stat))
     if b_known is not None:
         decided = _decide(xr[pick])
     return decided, d_min + pick

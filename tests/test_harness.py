@@ -343,6 +343,8 @@ class TestValidateConfig:
         [
             ("rank_sweep = 2, 40", ["sweep", "--axis", "rank"]),
             ("snr_sweep = 10, 7000", ["sweep", "--axis", "snr"]),
+            # a noise level, but a kernel radius whose square underflows
+            ("snr_sweep = 10, 3300", ["sweep", "--axis", "snr"]),
         ],
     )
     def test_grid_point_off_its_rule_exits_2_at_its_line(self, tmp_path, capsys, line, args):
@@ -355,6 +357,40 @@ class TestValidateConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("snr_db = 3300\n", 1),
+            ("snr_db = 3300\ndetectors = full_rank_mber\n", 1),
+            ("rho_multiplier = 1e-200\n", 0),
+            ("rho_multiplier = 1e-200\ndetectors = full_rank_mber\n", 0),
+        ],
+    )
+    def test_radius_squaring_to_zero_exits_2_before_any_trial(
+        self, tmp_path, capsys, text, line
+    ):
+        """``2 rho^2`` underflows to 0 at these radii.  They used to pass
+        validation, then exit 2 from init_state after synthesis or, with
+        full_rank_mber alone, exit 3 on a NaN filter norm at symbol 0."""
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        out = tmp_path / "x.csv"
+        code = cli_main(["run", "--trials", "1", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert f"{path}:{line}: need snr_db " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_d_max_above_m_names_d_max_at_its_line(self, tmp_path):
+        """A D_max above M used to be blamed on D_min, at line 0; a D_min
+        above D_max is still D_min's."""
+        path = tmp_path / "dmax.cfg"
+        path.write_text("D_max = 40\n")
+        with pytest.raises(ConfigParseError, match=r":1: need D_max <= M=33, got 40$"):
+            parse_config(path)
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig(D_min=5, D_max=4)
+        assert err.value.field == "D_min"
+
+    @pytest.mark.parametrize(
         "point_key, grid_key, value, need",
         [
             ("K", "users_sweep", 0, "1 <= K <= 33"),
@@ -364,6 +400,7 @@ class TestValidateConfig:
             ("snr_db", "snr_sweep", math.nan, "not NaN, with a noise level"),
             ("snr_db", "snr_sweep", -math.inf, "not NaN, with a noise level"),
             ("snr_db", "snr_sweep", 7000.0, "not NaN, with a noise level"),
+            ("snr_db", "snr_sweep", 3300.0, "and a kernel radius rho of 2 rho^2 > 0"),
         ],
     )
     def test_grid_point_obeys_the_rule_of_the_value_it_sets(self, point_key, grid_key, value, need):
@@ -406,7 +443,8 @@ class TestValidateConfig:
             assert err.value.field == next(iter(bad))
 
     @pytest.mark.parametrize(
-        "direct, change", [(True, {"K": 34}), (True, {"J": 2.7}), (False, {"D": 40})]
+        "direct, change",
+        [(True, {"K": 34}), (True, {"J": 2.7}), (False, {"D": 40}), (True, {"D_max": 40})],
     )
     def test_invalid_config_cannot_be_built(self, direct, change):
         """A config is checked when it is built, not first when it runs."""
@@ -698,9 +736,9 @@ class TestCollect:
 class TestAutoAdapterReusedProjection:
     @pytest.mark.parametrize("j", [1, 5])
     def test_bit_identical_to_two_pass_step(self, j):
-        """The auto detector matches its step written out: S, w, the
-        scaling flag, rank and decision agree bit for bit at every symbol,
-        through training and then decision-directed operation."""
+        """The auto detector matches its step written out: S, w, rank and
+        decision agree bit for bit at every symbol, through training and
+        then decision-directed operation."""
         cfg = dataclasses.replace(
             ExperimentConfig(),
             J=j,
@@ -727,7 +765,6 @@ class TestAutoAdapterReusedProjection:
             assert chosen[i] == rank, i
             assert np.array_equal(state.S, two_pass.S), i
             assert np.array_equal(state.w, two_pass.w), i
-            assert state.scaling_skipped == two_pass.scaling_skipped, i
 
 
 class TestAutoDetectorFollowsMaxRankState:
@@ -768,12 +805,7 @@ def _two_vdot_mber_update(state, r, b):
     )
     w_next = w + (state.mu * c) * (r - xr * w)
     norm_sq = np.vdot(w_next, w_next).real
-    if norm_sq < 1e-12:
-        state.scaling_skipped = True
-        state.w = w_next
-        return state
-    state.w = w_next / np.sqrt(norm_sq)
-    state.scaling_skipped = False
+    state.w = w_next if norm_sq < 1e-12 else w_next / np.sqrt(norm_sq)
     return state
 
 
@@ -787,8 +819,8 @@ class TestFullRankAdaptersReuseOutput:
     )
     @pytest.mark.parametrize("n, k", [(31, 5), (127, 16)])
     def test_bit_identical_to_two_vdot_step(self, name, update, n, k):
-        """A rule that decides and steps on one w^H r changes nothing: w,
-        the scaling flag and the decision agree bit for bit with an update
+        """A rule that decides and steps on one w^H r changes nothing: w
+        and the decision agree bit for bit with an update
         that forms w^H r again, through training and then decision-directed
         operation (at N=127, K=16 the default LMS step diverges)."""
         cfg = dataclasses.replace(
@@ -816,7 +848,6 @@ class TestFullRankAdaptersReuseOutput:
             update(two_vdot, windows[i], true_bit if training else two_vdot_decided)
             assert decided == two_vdot_decided, i
             assert np.array_equal(state.w, two_vdot.w), i
-            assert state.scaling_skipped == two_vdot.scaling_skipped, i
 
 
 class TestLmsHealth:

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mberlink import jio_mber
 from mberlink.detector_core import (
     _unit_norm,
     error_probability,
@@ -175,11 +174,16 @@ class TestScaleFilter:
             sw = state.S @ state.w
             assert np.vdot(sw, sw).real == pytest.approx(1.0, abs=1e-12)
 
-    def test_zero_filter_skips_and_flags(self):
+    def test_zero_norm_filter_kept_unscaled(self):
+        """A filter whose ``||S w||^2`` is below 1e-12, the all-zero init or
+        not, is kept as it is, bit for bit, not divided by its norm."""
         state = init_state(5, 2, 0.1, 0.1, 1, 1.0)
         scale_filter(state)
-        assert state.scaling_skipped
         assert np.array_equal(state.w, np.zeros(2, dtype=complex))
+        tiny = np.array([1e-7, 0], dtype=complex)
+        state.w = tiny.copy()
+        scale_filter(state)
+        assert np.array_equal(state.w, tiny)
 
 
 class TestJioStep:
@@ -226,7 +230,6 @@ class TestJioStep:
         state = init_state(6, 2, 0.05, 0.05, 1, 0.7)
         r, _ = random_sample(rng, 6)
         jio_step(state, r, 1)
-        assert not state.scaling_skipped
         sw = state.S @ state.w
         assert np.vdot(sw, sw).real == pytest.approx(1.0, abs=1e-10)
 
@@ -253,8 +256,8 @@ class TestJioStep:
 
 
 def candidate_errors(state, r, b, d_min=1):
-    """Error estimate Q(stat / rho) of each truncation d_min..D."""
-    return q_function(_truncated_statistics(state, d_min, r, b)[0] / state.rho)
+    """Error estimate Q(b stat / rho) of each truncation d_min..D."""
+    return q_function(b * _truncated_statistics(state, d_min, r)[0] / state.rho)
 
 
 def picked_rank(state, d_min, r, b):
@@ -326,7 +329,7 @@ class TestCandidateError:
         state = init_state(6, 3, 0.1, 0.1, 1, 1.0)
         for d_min in (0, 4):
             with pytest.raises(ConfigurationError):
-                _truncated_statistics(state, d_min, np.ones(6, dtype=complex), 1)
+                _truncated_statistics(state, d_min, np.ones(6, dtype=complex))
 
 
 class TestAutoStepRankPick:
@@ -382,13 +385,12 @@ class TestAutoStepDecisionDirected:
     @staticmethod
     def assert_is_jio_step(state, d_min, r):
         """Decision-directed auto_step decides and adapts as jio_step does
-        on a deep copy: same decision, S, w and scaling flag, bit for bit."""
+        on a deep copy: same decision, S and w, bit for bit."""
         fixed = copy.deepcopy(state)
         decided, _ = auto_step(state, d_min, r)
         assert decided == jio_step(fixed, r)
         assert np.array_equal(state.S, fixed.S)
         assert np.array_equal(state.w, fixed.w)
-        assert state.scaling_skipped == fixed.scaling_skipped
 
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("j", [1, 3])
@@ -409,77 +411,18 @@ class TestAutoStepDecisionDirected:
         self.assert_is_jio_step(state, 3, random_sample(rng, 10)[0])
 
 
-class TestScalingSkippedFlag:
-    def test_a_skip_in_a_non_final_cycle_raises_the_flag(self, monkeypatch):
-        """The flag tells whether any cycle of the symbol skipped its
-        scaling; it used to hold only the last cycle's flag."""
-        rng = np.random.default_rng(41)
-        state = random_state(rng, m=8, d=4, j=5)
-        r, b = random_sample(rng, 8)
-        calls = []
-
-        def second_cycle_skips(w, sw):
-            calls.append(None)
-            w_out, s, skipped = _unit_norm(w, sw)
-            return w_out, s, skipped or len(calls) == 2
-
-        monkeypatch.setattr(jio_mber, "_unit_norm", second_cycle_skips)
-        jio_step(state, r, b)
-        assert len(calls) == 5 and state.scaling_skipped is True
-        jio_step(state, r, b)
-        assert len(calls) == 10 and state.scaling_skipped is False
-
-    @pytest.mark.parametrize("j", [1, 3])
-    def test_stack_holds_each_states_jio_step_flag(self, j):
-        """Zero windows at symbols 0-2 skip every state's scaling; at
-        symbol 20 only the rank-4 state, whose filter is reset to zero,
-        skips.  The stack keeps one flag per state, each its jio_step's."""
-        m, ranks = 12, (2, 4, 6)
-        rng = np.random.default_rng(42 + j)
-        stack = init_stack(m, ranks, 0.05, 0.05, j, 0.35)
-        states = [init_state(m, d, 0.05, 0.05, j, 0.35) for d in ranks]
-        for i in range(30):
-            r, b = random_sample(rng, m)
-            if i < 3 or i == 20:
-                r = np.zeros(m, dtype=complex)
-            if i == 20:
-                stack.w[1] = 0.0
-                states[1].w = np.zeros(4, dtype=complex)
-            stack_step(stack, ranks, r, b)
-            for state in states:
-                jio_step(state, r, b)
-            flags = [state.scaling_skipped for state in states]
-            assert stack.scaling_skipped.dtype == bool
-            assert stack.scaling_skipped.tolist() == flags, i
-            assert flags == [i < 3 or (i == 20 and d == 4) for d in ranks], i
-
-
 class TestTruncatedStatistics:
-    def test_non_finite_output_raises_when_it_sets_the_reference(self):
-        """Without a bit, the full state's output is decided by _decide, so
-        a NaN raises as it does in every other decision; it used to read
-        as a -1 reference."""
-        rng = np.random.default_rng(24)
-        state = random_state(rng, m=6, d=4)
-        r, b = random_sample(rng, 6)
-        state.w[3] = np.nan
-        with pytest.raises(NumericalError, match=r"^detector output is nan$"):
-            _truncated_statistics(state, 1, r)
-        _truncated_statistics(state, 1, r, b)  # a given bit decides nothing: no raise
-
     def test_prefix_quantities_match_direct_computation(self):
         rng = np.random.default_rng(22)
         state = random_state(rng, m=9, d=6, normalized=False)
-        r, b = random_sample(rng, 9)
-        stat, xr = _truncated_statistics(state, 2, r, b)
+        r, _ = random_sample(rng, 9)
+        stat, xr = _truncated_statistics(state, 2, r)
         for d in range(2, 7):
             w_t, s_t = state.w[:d], state.S[:, :d]
             x = np.vdot(w_t, s_t.conj().T @ r).real
             sw = s_t @ w_t
             assert xr[d - 2] == pytest.approx(x, rel=1e-12)
-            assert stat[d - 2] == pytest.approx(
-                b * x / np.sqrt(np.vdot(sw, sw).real), rel=1e-12
-            )
+            assert stat[d - 2] == pytest.approx(x / np.sqrt(np.vdot(sw, sw).real), rel=1e-12)
 
 
 class TestAutoStepRankRange:
@@ -490,6 +433,20 @@ class TestAutoStepRankRange:
         for d_min in (0, 6):
             with pytest.raises(ConfigurationError):
                 auto_step(state, d_min, r, b)
+
+    @pytest.mark.parametrize("b", [1, -1, None])
+    def test_non_finite_window_raises_and_keeps_state(self, b):
+        """A NaN chip makes the full state's output NaN, which jio_step's
+        decision refuses, trained or decision-directed, before any update;
+        without a bit it used to read as a -1 reference."""
+        rng = np.random.default_rng(24)
+        state = random_state(rng, m=6, d=4)
+        before = copy.deepcopy(state)
+        r, _ = random_sample(rng, 6)
+        r[2] = np.nan
+        with pytest.raises(NumericalError, match=r"^detector output is nan$"):
+            auto_step(state, 1, r, b)
+        assert np.array_equal(state.S, before.S) and np.array_equal(state.w, before.w)
 
 
 def _rank_one_projection(S, w, r, sw, xr, step):
@@ -513,12 +470,11 @@ def _plain_factor(state, xr, b):
 
 
 def _plain_scaling(state, w_next):
-    """Sets ``w = w_next / ||S w_next||`` (kept, and flagged, when ~0);
+    """Sets ``w = w_next / ||S w_next||`` (kept as it is when ~0);
     returns the ``S w`` of the result."""
     sw = state.S @ w_next
     norm_sq = np.vdot(sw, sw).real
-    state.scaling_skipped = norm_sq < 1e-12
-    if state.scaling_skipped:
+    if norm_sq < 1e-12:
         state.w = w_next
         return sw
     state.w = w_next / np.sqrt(norm_sq)
@@ -572,7 +528,7 @@ def _composed_cycles(state, r, b):
         args = (state.S, state.w, r, b, state.rho, state.mu_w, state.mu_S, sw)
         state.S, w_next = _cycle(*args)
         sw = state.S @ w_next
-        state.w, s, state.scaling_skipped = _unit_norm(w_next, sw)
+        state.w, s = _unit_norm(w_next, sw)
         sw = sw / s
 
 
@@ -605,7 +561,8 @@ class TestFusedCycles:
     @pytest.mark.parametrize("j", [1, 5])
     def test_bit_identical_to_composed_updates(self, d, j):
         """jio_step equals decide-then-compose, bit for bit, at every symbol:
-        all-zero start, forced scaling skips, training then decision-directed."""
+        all-zero start, forced scaling skips (the filter stays exactly 0
+        there and nowhere else), training then decision-directed."""
         rng = np.random.default_rng(100 + d + j)
         fused = init_state(self.M, d, 0.05, 0.05, j, 0.35)
         composed = copy.deepcopy(fused)
@@ -620,8 +577,7 @@ class TestFusedCycles:
             for other in (composed, reference):
                 assert np.array_equal(fused.S, other.S), i
                 assert np.array_equal(fused.w, other.w), i
-                assert fused.scaling_skipped == other.scaling_skipped, i
-            assert fused.scaling_skipped == (i < 3 or i == 150), i
+            assert (not fused.w.any()) == (i < 3 or i == 150), i
 
     @pytest.mark.parametrize(
         "oracle",
@@ -651,7 +607,6 @@ class TestFusedCycles:
             oracle(two_outer, r, b)
             np.testing.assert_allclose(fused.S, two_outer.S, rtol=0, atol=atol)
             np.testing.assert_allclose(fused.w, two_outer.w, rtol=0, atol=atol)
-            assert fused.scaling_skipped == two_outer.scaling_skipped, i
 
 
 class TestStackStep:
@@ -686,6 +641,31 @@ class TestStackStep:
                 else:
                     np.testing.assert_allclose(S, state.S, rtol=0, atol=1e-12)
                     np.testing.assert_allclose(w, state.w, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_zero_norm_filter_kept_unscaled(self, j):
+        """Zero windows at symbols 0-2 leave every state's filter at 0, and
+        at symbol 20 the rank-4 state's, reset to zero, stays there too:
+        each such filter, of norm ~0, is kept unscaled (dividing by its
+        norm would make it NaN) and equals its own jio_step's, as the
+        states whose filters scale do.  Ranks 2 and 4 are padded."""
+        m, ranks = 12, (2, 4, 6)
+        rng = np.random.default_rng(42 + j)
+        stack = init_stack(m, ranks, 0.05, 0.05, j, 0.35)
+        states = [init_state(m, d, 0.05, 0.05, j, 0.35) for d in ranks]
+        for i in range(30):
+            r, b = random_sample(rng, m)
+            if i < 3 or i == 20:
+                r = np.zeros(m, dtype=complex)
+            if i == 20:
+                stack.w[1] = 0.0
+                states[1].w = np.zeros(4, dtype=complex)
+            stack_step(stack, ranks, r, b)
+            for p, (d, state) in enumerate(zip(ranks, states)):
+                jio_step(state, r, b)
+                kept = i < 3 or (i == 20 and d == 4)
+                assert (not stack.w[p].any()) == kept == (not state.w.any()), (i, p)
+                np.testing.assert_allclose(stack.w[p, :d], state.w, rtol=0, atol=1e-12)
 
     def test_non_finite_names_the_failing_rank(self):
         """A NaN output or an overflowing norm names the rank of the state
