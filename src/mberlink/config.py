@@ -18,7 +18,7 @@ import typing
 from dataclasses import dataclass
 
 from .errors import ConfigParseError, ConfigurationError
-from .signal_model import generate_gold_family
+from .signal_model import _PREFERRED_PAIRS, generate_gold_family
 
 DETECTOR_NAMES = (
     "jio_mber_fixed",
@@ -27,7 +27,8 @@ DETECTOR_NAMES = (
     "full_rank_mber",
 )
 
-_GOLD_DEGREES = {31: 5, 127: 7}
+# spreading gain N -> Gold code degree, for every degree signal_model builds
+_GOLD_DEGREES = {2**d - 1: d for d in _PREFERRED_PAIRS}
 
 # annotation item type -> (the values it admits, what a message calls one)
 _KINDS = {int: (numbers.Integral, "integer"), float: (numbers.Real, "number"), str: (str, "name")}
@@ -109,8 +110,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     or a negative base_seed; every grid point obeys the rule of the value
     it sets.  Every ExperimentConfig runs it when built."""
 
-    def bad(field_name, message):
-        raise ConfigurationError(message, field=field_name)
+    def bad(field_name, message, *reads):
+        raise ConfigurationError(message, field=field_name, reads=reads)
 
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
@@ -127,17 +128,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("N", f"spreading gain must be one of {sorted(_GOLD_DEGREES)}, got {cfg.N}")
     family_size = len(_gold_family_cached(_GOLD_DEGREES[cfg.N]))
     if cfg.Lp < 1 or cfg.Lp - 1 > cfg.N:
-        bad("Lp", f"need 1 <= Lp <= N+1, got {cfg.Lp}")
+        bad("Lp", f"need 1 <= Lp <= N+1, got {cfg.Lp}", "N")
     profile = cfg.power_profile_db
     if len(profile) != cfg.Lp:
-        bad("power_profile_db", f"power profile has {len(profile)} entries, expected Lp={cfg.Lp}")
+        message = f"power profile has {len(profile)} entries, expected Lp={cfg.Lp}"
+        bad("power_profile_db", message, "Lp")
     # tap 0 is the reference; a later tap of -inf dB is a path with no power
     if not (math.isfinite(profile[0]) and all(p < math.inf for p in profile)):
         bad("power_profile_db", "power_profile_db must be below inf dB, with tap 0 finite")
     if not cfg.D_max <= cfg.M:
-        bad("D_max", f"need D_max <= M={cfg.M}, got {cfg.D_max}")
+        bad("D_max", f"need D_max <= M={cfg.M}, got {cfg.D_max}", "N", "Lp")
     if not 1 <= cfg.D_min <= cfg.D_max:
-        bad("D_min", f"need 1 <= D_min <= D_max={cfg.D_max}, got {cfg.D_min}")
+        bad("D_min", f"need 1 <= D_min <= D_max={cfg.D_max}, got {cfg.D_min}", "D_max")
     lowest = {"J": 1, "tr_symbols": 1, "dd_symbols": 0, "num_trials": 1, "base_seed": 0}
     for name, least in lowest.items():
         if getattr(cfg, name) < least:
@@ -149,24 +151,26 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("rho_multiplier", "rho_multiplier must be a finite number > 0")
     if cfg.amplitudes is not None:
         if len(cfg.amplitudes) != cfg.K:
-            bad("amplitudes", f"need {cfg.K} amplitudes, got {len(cfg.amplitudes)}")
+            bad("amplitudes", f"need {cfg.K} amplitudes, got {len(cfg.amplitudes)}", "K")
         if not all(0 < a < math.inf for a in cfg.amplitudes):
             bad("amplitudes", "amplitudes must be finite and positive")
-    # one rule per swept value, for it and its grid; after amplitudes, which set the noise
+    # one rule per swept value, for it and its grid: (test, what it needs, the
+    # other fields it reads); after amplitudes, which set the noise
     rules = {
         "snr_db": (lambda s: _radius_computable(cfg, s),
-                   "snr_db not NaN, with a noise level and a kernel radius rho of 2 rho^2 > 0"),
-        "K": (lambda k: 1 <= k <= family_size, f"1 <= K <= {family_size}"),
-        "D": (lambda d: 1 <= d <= cfg.M, f"1 <= D <= M={cfg.M}"),
+                   "snr_db not NaN, with a noise level and a kernel radius rho of 2 rho^2 > 0",
+                   ("rho_multiplier", "amplitudes")),
+        "K": (lambda k: 1 <= k <= family_size, f"1 <= K <= {family_size}", ("N",)),
+        "D": (lambda d: 1 <= d <= cfg.M, f"1 <= D <= M={cfg.M}", ("N", "Lp")),
     }
     for grid_key, point_key in _SWEEP_AXES.values():
-        holds, need = rules[point_key]
+        holds, need, reads = rules[point_key]
         if not holds(getattr(cfg, point_key)):
-            bad(point_key, f"need {need}, got {getattr(cfg, point_key)}")
+            bad(point_key, f"need {need}, got {getattr(cfg, point_key)}", *reads)
         if not getattr(cfg, grid_key):
             bad(grid_key, f"{grid_key} is an empty grid; list at least one point")
         if not all(map(holds, getattr(cfg, grid_key))):
-            bad(grid_key, f"{grid_key} sets {point_key}: need {need} at every point")
+            bad(grid_key, f"{grid_key} sets {point_key}: need {need} at every point", *reads)
     if not cfg.detectors:
         bad("detectors", "need at least one detector")
     for det in cfg.detectors:
@@ -197,8 +201,9 @@ def parse_config(path) -> ExperimentConfig:
     A value is written as its :class:`ExperimentConfig` annotation reads:
     one number, or a comma list for a tuple key.  Unknown keys, malformed
     lines, duplicate keys and invariant violations raise
-    :class:`ConfigParseError` naming the line.  Missing keys keep their
-    defaults; an empty file yields the full default configuration.
+    :class:`ConfigParseError` naming the line (for a broken rule, its
+    field's line, else that of another field it reads).  Missing keys keep
+    their defaults; an empty file yields the full default configuration.
     """
     path = str(path)
     values = {}
@@ -228,7 +233,8 @@ def parse_config(path) -> ExperimentConfig:
     try:
         return ExperimentConfig(**values)
     except ConfigurationError as exc:
-        raise ConfigParseError(path, key_lines.get(exc.field, 0), str(exc)) from exc
+        line = next((key_lines[f] for f in (exc.field, *exc.reads) if f in key_lines), 0)
+        raise ConfigParseError(path, line, str(exc)) from exc
 
 
 @functools.lru_cache(maxsize=4)

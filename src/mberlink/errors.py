@@ -4,13 +4,14 @@
 class ConfigurationError(ValueError):
     """Invalid configuration value or inconsistent parameter combination.
 
-    Carries an optional ``field`` naming the offending configuration key so
-    that file parsers can attach line information.
+    Carries ``field``, the offending configuration key, and ``reads``, the
+    other keys its rule reads, so that file parsers can attach line numbers.
     """
 
-    def __init__(self, message: str, field: str | None = None):
+    def __init__(self, message: str, field: str | None = None, reads: tuple[str, ...] = ()):
         super().__init__(message)
         self.field = field
+        self.reads = reads
 
 
 class ConfigParseError(ConfigurationError):

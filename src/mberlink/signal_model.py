@@ -24,7 +24,7 @@ _PREFERRED_PAIRS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
 # user bit generators use the (small) code user_id as their spawn key.
 _NOISE_SPAWN_KEY = 0x7FFFFFFF
 
-# symbols per block of footprint and noise synthesis; the working set of
+# symbols per block of Jakes taps, footprints and noise; the working set of
 # synthesize_arrays is the stream plus buffers of this many symbols
 _BLOCK = 256
 
@@ -120,7 +120,7 @@ def build_convolution_matrix(code: SpreadingCode, paths: int) -> np.ndarray:
 
 
 class JakesChannel:
-    """Per-symbol Rayleigh fading process, one oscillator bank per tap.
+    """Per-symbol Rayleigh fading process: one oscillator table for every tap.
 
     Sum-of-sinusoids realization with ``_NUM_OSCILLATORS`` (16) arrival
     angles per tap.  Angle n for a tap sits in sector ((2*pi*n - pi +
@@ -144,31 +144,24 @@ class JakesChannel:
         n_osc = _NUM_OSCILLATORS
         omega = 2.0 * np.pi * float(normalized_doppler)
         theta = rng.uniform(-np.pi, np.pi, size=self.num_taps)
-        self._phase_i = rng.uniform(-np.pi, np.pi, size=(self.num_taps, n_osc))
-        self._phase_q = rng.uniform(-np.pi, np.pi, size=(self.num_taps, n_osc))
-        angles = (2.0 * np.pi * np.arange(1, n_osc + 1) - np.pi + theta[:, None]) / (
-            4.0 * n_osc
-        )
-        self._freq_i = omega * np.cos(angles)
-        self._freq_q = omega * np.sin(angles)
-        self._gain = np.sqrt(2.0 / n_osc) / np.sqrt(2.0)
-        # amplitude scale per tap, profile normalized so tap 0 is 0 dB
+        # oscillator table [tap, in-phase or quadrature, oscillator]; in-phase drawn first
+        phase = rng.uniform(-np.pi, np.pi, size=(2, self.num_taps, n_osc))
+        self._phase = np.ascontiguousarray(phase.swapaxes(0, 1))
+        angles = (2.0 * np.pi * np.arange(1, n_osc + 1) - np.pi + theta[:, None]) / (4.0 * n_osc)
+        self._freq = omega * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        # tap amplitude, profile normalized so tap 0 is 0 dB, times the oscillator gain
         rel_db = profile - profile[0]
-        self._amplitude = np.sqrt(10.0 ** (rel_db / 10.0))
+        self._scale = np.sqrt(10.0 ** (rel_db / 10.0)) * (np.sqrt(2.0 / n_osc) / np.sqrt(2.0))
 
     def taps_for(self, symbols: np.ndarray) -> np.ndarray:
-        """Tap values for the given symbol indices, shape (len, num_taps)."""
+        """Tap values for the given symbol indices, shape (len, num_taps), from
+        one cosine pass over the oscillator table per ``_BLOCK`` of symbols."""
         symbols = np.asarray(symbols, dtype=np.float64)
         out = np.empty((symbols.shape[0], self.num_taps), dtype=np.complex128)
-        chunk = 1 << 15
-        for start in range(0, symbols.shape[0], chunk):
-            t = symbols[start : start + chunk]
-            for f in range(self.num_taps):
-                re = np.cos(t[:, None] * self._freq_i[f] + self._phase_i[f]).sum(axis=1)
-                im = np.cos(t[:, None] * self._freq_q[f] + self._phase_q[f]).sum(axis=1)
-                out[start : start + t.shape[0], f] = (
-                    self._amplitude[f] * self._gain * (re + 1j * im)
-                )
+        for start in range(0, symbols.shape[0], _BLOCK):
+            t = symbols[start : start + _BLOCK, None, None, None]
+            s = np.cos(t * self._freq + self._phase).sum(axis=-1)
+            out[start : start + _BLOCK] = self._scale * (s[..., 0] + 1j * s[..., 1])
         return out
 
 

@@ -318,8 +318,9 @@ class TestValidateConfig:
             validate_config(dataclasses.replace(FAST, amplitudes=(1.0,)))
 
     def test_unsupported_gain(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=re.escape("one of [31, 127], got 16")) as err:
             validate_config(dataclasses.replace(FAST, N=16))
+        assert err.value.field == "N"
 
     @pytest.mark.parametrize(
         "line, args",
@@ -361,8 +362,9 @@ class TestValidateConfig:
         [
             ("snr_db = 3300\n", 1),
             ("snr_db = 3300\ndetectors = full_rank_mber\n", 1),
-            ("rho_multiplier = 1e-200\n", 0),
-            ("rho_multiplier = 1e-200\ndetectors = full_rank_mber\n", 0),
+            ("rho_multiplier = 1e-200\n", 1),
+            ("rho_multiplier = 1e-200\ndetectors = full_rank_mber\n", 1),
+            ("amplitudes = 1e-300, 1, 1, 1, 1\n", 1),
         ],
     )
     def test_radius_squaring_to_zero_exits_2_before_any_trial(
@@ -378,6 +380,30 @@ class TestValidateConfig:
         assert code == 2
         assert f"{path}:{line}: need snr_db " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, field, message",
+        [
+            ("Lp = 4", "power_profile_db", "power profile has 3 entries, expected Lp=4"),
+            ("D_max = 2", "D_min", "need 1 <= D_min <= D_max=2, got 3"),
+        ],
+    )
+    def test_rule_over_two_fields_exits_2_at_the_line_the_file_set(
+        self, tmp_path, capsys, text, field, message
+    ):
+        """The file leaves out the field the rule names, so the message
+        points at the other field it reads; these, and the radius cases
+        set by rho_multiplier or amplitudes, used to point at line 0."""
+        path = tmp_path / "t.cfg"
+        path.write_text(text + "\n")
+        out = tmp_path / "x.csv"
+        code = cli_main(["run", "--trials", "1", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert f"{path}:1: {message}" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ConfigParseError) as err:
+            parse_config(path)
+        assert err.value.__cause__.field == field
 
     def test_d_max_above_m_names_d_max_at_its_line(self, tmp_path):
         """A D_max above M used to be blamed on D_min, at line 0; a D_min

@@ -122,7 +122,47 @@ class TestConvolutionMatrix:
             build_convolution_matrix(toy_code([1, 1]), 0)
 
 
+def per_tap_taps(profile_db, doppler, seed, symbols):
+    """Jakes taps one tap and one quadrature at a time, from the seed's
+    draws: theta, then every in-phase phase, then every quadrature phase."""
+    profile = np.asarray(profile_db, dtype=np.float64)
+    taps, n_osc = profile.shape[0], 16
+    rng = np.random.default_rng(seed)
+    omega = 2.0 * np.pi * float(doppler)
+    theta = rng.uniform(-np.pi, np.pi, size=taps)
+    phase_i = rng.uniform(-np.pi, np.pi, size=(taps, n_osc))
+    phase_q = rng.uniform(-np.pi, np.pi, size=(taps, n_osc))
+    angles = (2.0 * np.pi * np.arange(1, n_osc + 1) - np.pi + theta[:, None]) / (4.0 * n_osc)
+    freq_i, freq_q = omega * np.cos(angles), omega * np.sin(angles)
+    gain = np.sqrt(2.0 / n_osc) / np.sqrt(2.0)
+    amplitude = np.sqrt(10.0 ** ((profile - profile[0]) / 10.0))
+    t = np.asarray(symbols, dtype=np.float64)
+    out = np.empty((t.shape[0], taps), dtype=np.complex128)
+    for f in range(taps):
+        re = np.cos(t[:, None] * freq_i[f] + phase_i[f]).sum(axis=1)
+        im = np.cos(t[:, None] * freq_q[f] + phase_q[f]).sum(axis=1)
+        out[:, f] = amplitude[f] * gain * (re + 1j * im)
+    return out
+
+
 class TestJakesChannel:
+    @pytest.mark.parametrize(
+        "profile, doppler, symbols",
+        [
+            ([0.0, -7.0, -10.0], 5e-5, np.arange(1750)),
+            ([0.0, -np.inf, -10.0], 5e-5, np.arange(300)),
+            ([0.0, -7.0, -10.0], 0.0, np.arange(300)),
+            ([0.0, -7.0, -10.0], 1e-3, np.arange(3 * _BLOCK + 17)),
+            ([0.0, -7.0, -10.0], 1e-3, np.array([5, 3, 100_000, 2])),
+        ],
+        ids=["default", "minus_inf_tap", "zero_doppler", "past_one_block", "unsorted"],
+    )
+    def test_matches_per_tap_reference(self, profile, doppler, symbols):
+        """One cosine pass over the oscillator table per block gives every
+        tap bit for bit as evaluating each tap and quadrature on its own."""
+        got = JakesChannel(profile, doppler, seed=1234).taps_for(symbols)
+        assert got.tobytes() == per_tap_taps(profile, doppler, 1234, symbols).tobytes()
+
     def test_zero_doppler_taps_constant(self):
         ch = JakesChannel([0.0, -7.0, -10.0], 0.0, seed=3)
         taps = ch.taps_for(np.arange(100))
