@@ -2,7 +2,7 @@
 
 from ._version import __version__
 from .baselines import FullRankState, init_full_rank, lms_update, mber_full_rank_update
-from .complexity import Algorithm, OpCountReport, complexity_sweep, op_count
+from .complexity import Algorithm, OpCountReport, op_count
 from .config import ExperimentConfig, parse_config
 from .detector_core import (
     error_probability,
@@ -47,7 +47,6 @@ __all__ = [
     "UserConfig",
     "auto_step",
     "build_convolution_matrix",
-    "complexity_sweep",
     "emit_csv",
     "error_probability",
     "generate_gold_family",

@@ -14,7 +14,7 @@ import sys
 
 from . import harness
 from ._version import __version__
-from .complexity import Algorithm, complexity_sweep, write_complexity_csv
+from .complexity import Algorithm, op_count, write_complexity_csv
 from .config import _FIELD_PARSERS, _SWEEP_AXES, DETECTOR_NAMES, ExperimentConfig, parse_config
 from .errors import ConfigurationError
 from .results import emit_csv
@@ -120,14 +120,11 @@ def _parse_range(text: str) -> range:
 
 def _cmd_complexity(args) -> int:
     d_values = list(_parse_range(args.d_range)) if args.d_range else [args.D]
-    grid = {
-        "M": [args.M],
-        "D": d_values,
-        "J": [args.J],
-        "Lp": [args.Lp],
-        "D_max": [args.Dmax],
-    }
-    reports = complexity_sweep(list(Algorithm), grid)
+    reports = [
+        op_count(a, M=args.M, D=d, J=args.J, Lp=args.Lp, D_max=args.Dmax)
+        for d in d_values
+        for a in Algorithm
+    ]
     write_complexity_csv(reports, args.out)
     print(f"wrote {args.out} ({len(reports)} rows)")
     return 0

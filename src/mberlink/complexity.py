@@ -14,7 +14,6 @@ M**3 with the ``asymptotic`` flag set.
 import csv
 import enum
 import inspect
-import itertools
 import operator
 from dataclasses import dataclass, field
 
@@ -94,7 +93,7 @@ def op_count(
             count = operator.index(value)
         except TypeError:  # 3.7 is not a count; int() would truncate it
             count = 0
-        if count < 1:
+        if count < 1 or isinstance(value, bool):  # True is an index, but no bool is a count
             raise ConfigurationError(
                 f"{algorithm.value}: {name} must be a positive integer, got {value}",
                 field=name,
@@ -113,30 +112,6 @@ def op_count(
         params=params,
         asymptotic=algorithm is Algorithm.EIG,
     )
-
-
-def complexity_sweep(algorithms, param_grid: dict) -> list[OpCountReport]:
-    """Cross-product evaluation of ``op_count`` over a parameter grid.
-
-    ``param_grid`` maps parameter names (M, D, J, Lp, D_max) to value
-    lists; every algorithm is evaluated at every grid point using the
-    parameters its formula takes.
-    """
-    algorithms = [Algorithm(a) for a in algorithms]
-    if not algorithms:
-        raise ConfigurationError("need at least one algorithm")
-    if not param_grid or any(len(list(v)) == 0 for v in param_grid.values()):
-        raise ConfigurationError("parameter grid must be non-empty")
-    unknown = set(param_grid) - set(_PARAMS)
-    if unknown:
-        raise ConfigurationError(f"unknown grid parameters: {sorted(unknown)}")
-    names = sorted(param_grid)
-    reports = []
-    for values in itertools.product(*(param_grid[n] for n in names)):
-        point = dict.fromkeys(_PARAMS) | dict(zip(names, values))
-        for algorithm in algorithms:
-            reports.append(op_count(algorithm, **point))
-    return reports
 
 
 def write_complexity_csv(reports: list[OpCountReport], path) -> None:

@@ -11,14 +11,13 @@ radius would collapse to zero).
 """
 
 import dataclasses
-import functools
 import math
 import numbers
 import typing
 from dataclasses import dataclass
 
 from .errors import ConfigParseError, ConfigurationError
-from .signal_model import _PREFERRED_PAIRS, generate_gold_family
+from .signal_model import _PREFERRED_PAIRS
 
 DETECTOR_NAMES = (
     "jio_mber_fixed",
@@ -126,7 +125,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             bad(f.name, f"{f.name} must be a tuple of {noun}s, got {value!r}")
     if cfg.N not in _GOLD_DEGREES:
         bad("N", f"spreading gain must be one of {sorted(_GOLD_DEGREES)}, got {cfg.N}")
-    family_size = len(_gold_family_cached(_GOLD_DEGREES[cfg.N]))
+    family_size = cfg.N + 2  # the 2**degree + 1 codes of generate_gold_family
     if cfg.Lp < 1 or cfg.Lp - 1 > cfg.N:
         bad("Lp", f"need 1 <= Lp <= N+1, got {cfg.Lp}", "N")
     profile = cfg.power_profile_db
@@ -235,11 +234,6 @@ def parse_config(path) -> ExperimentConfig:
     except ConfigurationError as exc:
         line = next((key_lines[f] for f in (exc.field, *exc.reads) if f in key_lines), 0)
         raise ConfigParseError(path, line, str(exc)) from exc
-
-
-@functools.lru_cache(maxsize=4)
-def _gold_family_cached(degree: int):
-    return tuple(generate_gold_family(degree))
 
 
 def noise_sigma(cfg: ExperimentConfig, snr_db: float) -> float:

@@ -26,14 +26,13 @@ from .config import (
     _GOLD_DEGREES,
     _SWEEP_AXES,
     ExperimentConfig,
-    _gold_family_cached,
     kernel_radius,
     noise_sigma,
 )
 from .errors import ConfigurationError, NumericalError
 from .jio_mber import auto_step, init_stack, init_state, jio_step, stack_step
 from .results import ExperimentResult, SweepResult, TrialResult, _fmt
-from .signal_model import JakesChannel, UserConfig, synthesize_arrays
+from .signal_model import JakesChannel, UserConfig, generate_gold_family, synthesize_arrays
 
 # not used here: the benchmark worker calls harness.parse_config and traces harness.emit_csv
 from .config import parse_config  # noqa: F401
@@ -63,8 +62,15 @@ def _detector(name: str, cfg: ExperimentConfig, rho: float):
     return functools.partial(mber_full_rank_update, init_full_rank(cfg.M, cfg.mu_fr_mber, rho))
 
 
+@functools.lru_cache(maxsize=len(_GOLD_DEGREES))
+def _gold_family(degree: int) -> tuple:
+    """The Gold family of ``degree``, built once per process from this
+    module's name ``generate_gold_family``, so a rebinding of it (tracing) applies."""
+    return tuple(generate_gold_family(degree))
+
+
 def _build_users(cfg: ExperimentConfig, trial_seed: int) -> list[UserConfig]:
-    family = _gold_family_cached(_GOLD_DEGREES[cfg.N])
+    family = _gold_family(_GOLD_DEGREES[cfg.N])
     users = []
     for k in range(cfg.K):
         seeds = np.random.SeedSequence(entropy=(trial_seed, k))

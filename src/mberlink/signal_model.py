@@ -135,8 +135,8 @@ class JakesChannel:
         profile = np.atleast_1d(np.asarray(power_profile_db, dtype=np.float64))
         if profile.ndim != 1 or profile.shape[0] < 1:
             raise ConfigurationError("power profile must be a non-empty 1-D sequence")
-        if normalized_doppler < 0:
-            raise ConfigurationError("normalized Doppler must be >= 0")
+        if not 0 <= normalized_doppler < np.inf:
+            raise ConfigurationError("normalized Doppler must be a finite number >= 0")
 
         self.num_taps = profile.shape[0]
 
@@ -177,8 +177,8 @@ class UserConfig:
     channel: JakesChannel
 
     def __post_init__(self):
-        if not self.amplitude > 0:
-            raise ConfigurationError("user amplitude must be strictly positive")
+        if not 0 < self.amplitude < np.inf:
+            raise ConfigurationError("user amplitude must be finite and strictly positive")
 
 
 def synthesize_arrays(
@@ -210,8 +210,8 @@ def synthesize_arrays(
     which other users are present.  ``users`` must be non-empty, and all
     users share one spreading gain and one path count.
     """
-    if sigma < 0:
-        raise ConfigurationError("sigma must be >= 0")
+    if not 0 <= sigma < np.inf:
+        raise ConfigurationError("sigma must be a finite number >= 0")
     if num_symbols < 1:
         raise ConfigurationError("num_symbols must be >= 1")
     if not users:

@@ -1,5 +1,6 @@
 """End-to-end CLI tests (small configurations)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -105,6 +106,17 @@ def test_complexity_subcommand(tmp_path, capsys, d_range, exit_code):
 
     reference = [line for line in lines if line.startswith("jio_mber,33,6,1")]
     assert reference == ["jio_mber,33,6,1,,,1262,962"]
+
+
+def test_complexity_table_over_default_rank_grid(tmp_path):
+    """The D = 2..20 table at M = 33, J = 1, Lp = 3, every algorithm at each
+    rank in turn, is byte for byte the recorded one."""
+    out = tmp_path / "complexity.csv"
+    argv = ["complexity", "--M", "33", "--J", "1", "--Lp", "3", "--d-range", "2:20"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 153
+    digest = "537e098353693b3f2c6317cd2551a740523cbc293216f7ce79a9a36497e28e4e"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_config_error_exit_code(tmp_path):

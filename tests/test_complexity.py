@@ -4,12 +4,7 @@ import csv
 
 import pytest
 
-from mberlink.complexity import (
-    Algorithm,
-    complexity_sweep,
-    op_count,
-    write_complexity_csv,
-)
+from mberlink.complexity import Algorithm, op_count, write_complexity_csv
 from mberlink.errors import ConfigurationError
 
 
@@ -64,6 +59,11 @@ class TestFormulaProperties:
                     assert rep.additions >= previous.additions
                 previous = rep
 
+    def test_rank_scan_is_monotone(self):
+        mults = [op_count(Algorithm.JIO_MBER, M=33, D=d, J=1).multiplications
+                 for d in range(2, 21)]
+        assert mults == sorted(mults)
+
     # (multiplications, additions, params, asymptotic) at M=33, D=6, J=5,
     # Lp=3, D_max=20, recorded from the formulas as first written
     GOLDEN = {
@@ -93,6 +93,9 @@ class TestFormulaProperties:
             op_count(Algorithm.MWF_MBER, M=33, D=6)  # no Lp
         with pytest.raises(ConfigurationError):
             op_count(Algorithm.JIO_MBER_AUTO, M=33)  # no D_max
+        with pytest.raises(ConfigurationError) as err:
+            op_count(Algorithm.EIG, M=None)
+        assert err.value.field == "M"
 
     def test_nonpositive_parameter_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -115,49 +118,14 @@ class TestFormulaProperties:
         assert op_count(Algorithm.JIO_MBER, M=5, D=5, J=1).params["D"] == 5
         assert op_count(Algorithm.JIO_MBER_AUTO, M=5, D_max=5).params["D_max"] == 5
 
-    @pytest.mark.parametrize("value", [3.7, 0.5])
+    @pytest.mark.parametrize("value", [3.7, 0.5, True])
     def test_non_integer_parameter_rejected(self, value):
-        """A fractional count is refused, not truncated (3.7 counted as 3)."""
+        """A fractional count is refused, not truncated (3.7 counted as 3),
+        and a bool is no count (True is not M = 1)."""
         message = f"M must be a positive integer, got {value}"
         with pytest.raises(ConfigurationError, match=message) as err:
             op_count(Algorithm.EIG, M=value)
         assert err.value.field == "M"
-
-
-class TestSweep:
-    def test_single_cell_grid(self):
-        reports = complexity_sweep([Algorithm.JIO_MBER], {"M": [33], "D": [6], "J": [1]})
-        assert len(reports) == 1
-        assert reports[0].multiplications == 1262
-
-    def test_cross_product_size(self):
-        reports = complexity_sweep(
-            [Algorithm.JIO_MBER, Algorithm.JIO_LMS],
-            {"M": [33], "D": [2, 4, 6], "J": [1, 5]},
-        )
-        assert len(reports) == 2 * 3 * 2
-
-    def test_rank_scan_is_monotone(self):
-        reports = complexity_sweep(
-            [Algorithm.JIO_MBER], {"M": [33], "D": list(range(2, 21)), "J": [1]}
-        )
-        mults = [r.multiplications for r in reports]
-        assert mults == sorted(mults)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ConfigurationError):
-            complexity_sweep([Algorithm.JIO_MBER], {})
-        with pytest.raises(ConfigurationError):
-            complexity_sweep([], {"M": [33]})
-
-    def test_grid_without_required_parameter_rejected(self):
-        with pytest.raises(ConfigurationError) as err:
-            complexity_sweep([Algorithm.EIG], {"D": [2]})
-        assert err.value.field == "M"
-
-    def test_unknown_grid_parameter_rejected(self):
-        with pytest.raises(ConfigurationError):
-            complexity_sweep([Algorithm.EIG], {"M": [33], "Q": [1]})
 
 
 class TestCsvExport:

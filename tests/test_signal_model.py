@@ -11,6 +11,7 @@ from mberlink.errors import ConfigurationError
 from mberlink.signal_model import (
     _BLOCK,
     _NOISE_SPAWN_KEY,
+    _PREFERRED_PAIRS,
     JakesChannel,
     SpreadingCode,
     UserConfig,
@@ -38,10 +39,12 @@ def toy_code(chips) -> SpreadingCode:
 
 
 class TestGoldFamily:
-    def test_family_size_and_lengths(self):
-        family = generate_gold_family(5)
-        assert len(family) == 33
-        assert all(code.length == 31 for code in family)
+    @pytest.mark.parametrize("degree", sorted(_PREFERRED_PAIRS))
+    def test_family_size_and_lengths(self, degree):
+        """2**d + 1 codes of length N = 2**d - 1: the N + 2 users config allows."""
+        family = generate_gold_family(degree)
+        assert len(family) == 2**degree + 1
+        assert all(code.length == 2**degree - 1 for code in family)
 
     def test_chip_values_and_energy(self):
         family = generate_gold_family(5)
@@ -203,8 +206,16 @@ class TestJakesChannel:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
             JakesChannel([], 1e-4, seed=0)
+        for doppler in (-1e-4, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                JakesChannel([0.0], doppler, seed=0)
+
+
+class TestUserConfig:
+    @pytest.mark.parametrize("amplitude", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_amplitude(self, amplitude):
         with pytest.raises(ConfigurationError):
-            JakesChannel([0.0], -1e-4, seed=0)
+            UserConfig(amplitude, toy_code([1, -1]), StaticChannel([1.0]))
 
 
 class TestSynthesize:
@@ -296,8 +307,9 @@ class TestSynthesize:
     def test_negative_sigma_rejected(self):
         code = toy_code([1, -1])
         user = UserConfig(1.0, code, StaticChannel([1.0]))
-        with pytest.raises(ConfigurationError):
-            synthesize_arrays([user], 5, sigma=-1.0, seed=1)
+        for sigma in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                synthesize_arrays([user], 5, sigma=sigma, seed=1)
 
 
 def _reference_synthesize_arrays(users, num_symbols, sigma, seed):
