@@ -50,15 +50,10 @@ def _build_parser() -> argparse.ArgumentParser:
     cx_p = sub.add_parser("complexity", help="per-symbol operation-count table")
     cx_p.add_argument("--out", metavar="PATH", default="complexity.csv")
     cx_p.add_argument("--M", type=int, default=33)
-    cx_p.add_argument("--D", type=int, default=6)
+    cx_p.add_argument("--D", metavar="D|LO:HI[:STEP]", default="6", help="a rank or a rank grid")
     cx_p.add_argument("--J", type=int, default=1)
     cx_p.add_argument("--Lp", type=int, default=3)
     cx_p.add_argument("--Dmax", type=int, default=20)
-    cx_p.add_argument(
-        "--d-range",
-        metavar="LO:HI[:STEP]",
-        help="evaluate a D grid instead of a single D",
-    )
     return parser
 
 
@@ -108,21 +103,25 @@ def _cmd_sweep(args) -> int:
 
 
 def _parse_range(text: str) -> range:
+    """The ranks that ``D`` or ``LO:HI[:STEP]`` (HI included) names."""
+    parts = text.split(":")
+    if len(parts) == 1:  # the single rank D is the grid D:D
+        parts *= 2
+    if len(parts) == 2:
+        parts.append("1")
     try:
-        lo, hi, *step = [int(tok) for tok in text.split(":")]
-        (step,) = step or [1]
-    except ValueError:
-        raise ConfigurationError(f"bad range {text!r}, expected LO:HI[:STEP]") from None
+        lo, hi, step = map(int, parts)
+    except ValueError:  # not an integer, or more than three parts
+        raise ConfigurationError(f"bad range {text!r}, expected D or LO:HI[:STEP]") from None
     if lo < 1 or hi < lo or step < 1:
         raise ConfigurationError(f"bad range {text!r}")
     return range(lo, hi + 1, step)
 
 
 def _cmd_complexity(args) -> int:
-    d_values = list(_parse_range(args.d_range)) if args.d_range else [args.D]
     reports = [
         op_count(a, M=args.M, D=d, J=args.J, Lp=args.Lp, D_max=args.Dmax)
-        for d in d_values
+        for d in _parse_range(args.D)
         for a in Algorithm
     ]
     write_complexity_csv(reports, args.out)

@@ -47,7 +47,6 @@ class ExperimentConfig:
 
     N: int = 31
     K: int = 5
-    Lp: int = 3
     snr_db: float = 15.0
     D: int = 8
     D_min: int = 3
@@ -74,6 +73,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         validate_config(self)
+
+    @property
+    def Lp(self) -> int:
+        return len(self.power_profile_db)
 
     @property
     def M(self) -> int:
@@ -126,17 +129,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.N not in _GOLD_DEGREES:
         bad("N", f"spreading gain must be one of {sorted(_GOLD_DEGREES)}, got {cfg.N}")
     family_size = cfg.N + 2  # the 2**degree + 1 codes of generate_gold_family
-    if cfg.Lp < 1 or cfg.Lp - 1 > cfg.N:
-        bad("Lp", f"need 1 <= Lp <= N+1, got {cfg.Lp}", "N")
-    profile = cfg.power_profile_db
-    if len(profile) != cfg.Lp:
-        message = f"power profile has {len(profile)} entries, expected Lp={cfg.Lp}"
-        bad("power_profile_db", message, "Lp")
+    profile = cfg.power_profile_db  # one entry per path: Lp is its length
+    if not 1 <= len(profile) <= cfg.N + 1:
+        message = f"power_profile_db needs 1 to N+1={cfg.N + 1} entries, got {len(profile)}"
+        bad("power_profile_db", message, "N")
     # tap 0 is the reference; a later tap of -inf dB is a path with no power
     if not (math.isfinite(profile[0]) and all(p < math.inf for p in profile)):
         bad("power_profile_db", "power_profile_db must be below inf dB, with tap 0 finite")
     if not cfg.D_max <= cfg.M:
-        bad("D_max", f"need D_max <= M={cfg.M}, got {cfg.D_max}", "N", "Lp")
+        bad("D_max", f"need D_max <= M={cfg.M}, got {cfg.D_max}", "N", "power_profile_db")
     if not 1 <= cfg.D_min <= cfg.D_max:
         bad("D_min", f"need 1 <= D_min <= D_max={cfg.D_max}, got {cfg.D_min}", "D_max")
     lowest = {"J": 1, "tr_symbols": 1, "dd_symbols": 0, "num_trials": 1, "base_seed": 0}
@@ -160,7 +161,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
                    "snr_db not NaN, with a noise level and a kernel radius rho of 2 rho^2 > 0",
                    ("rho_multiplier", "amplitudes")),
         "K": (lambda k: 1 <= k <= family_size, f"1 <= K <= {family_size}", ("N",)),
-        "D": (lambda d: 1 <= d <= cfg.M, f"1 <= D <= M={cfg.M}", ("N", "Lp")),
+        "D": (lambda d: 1 <= d <= cfg.M, f"1 <= D <= M={cfg.M}", ("N", "power_profile_db")),
     }
     for grid_key, point_key in _SWEEP_AXES.values():
         holds, need, reads = rules[point_key]
@@ -195,7 +196,7 @@ _FIELD_PARSERS = {f.name: _field_parser(f.type) for f in dataclasses.fields(Expe
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read a flat ``key = value`` config file (UTF-8, ``#`` comments).
+    """Read a flat ``key = value`` config file (UTF-8, BOM allowed; ``#`` comments).
 
     A value is written as its :class:`ExperimentConfig` annotation reads:
     one number, or a comma list for a tuple key.  Unknown keys, malformed
@@ -207,28 +208,32 @@ def parse_config(path) -> ExperimentConfig:
     path = str(path)
     values = {}
     key_lines = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                message = f"expected 'key = value', got {raw.strip()!r}"
-                raise ConfigParseError(path, line_no, message)
-            key, _, value_text = line.partition("=")
-            key = key.strip()
-            value_text = value_text.strip()
-            if key not in _FIELD_PARSERS:
-                raise ConfigParseError(path, line_no, f"unknown key {key!r}")
-            if key in values:
-                raise ConfigParseError(path, line_no, f"duplicate key {key!r}")
-            if not value_text:
-                raise ConfigParseError(path, line_no, f"empty value for {key!r}")
-            try:
-                values[key] = _FIELD_PARSERS[key](value_text)
-            except ValueError as exc:
-                raise ConfigParseError(path, line_no, f"invalid value for {key!r}: {exc}") from exc
-            key_lines[key] = line_no
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(path, 0, f"not UTF-8 text: {exc}") from exc
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            message = f"expected 'key = value', got {raw.strip()!r}"
+            raise ConfigParseError(path, line_no, message)
+        key, _, value_text = line.partition("=")
+        key = key.strip()
+        value_text = value_text.strip()
+        if key not in _FIELD_PARSERS:
+            raise ConfigParseError(path, line_no, f"unknown key {key!r}")
+        if key in values:
+            raise ConfigParseError(path, line_no, f"duplicate key {key!r}")
+        if not value_text:
+            raise ConfigParseError(path, line_no, f"empty value for {key!r}")
+        try:
+            values[key] = _FIELD_PARSERS[key](value_text)
+        except ValueError as exc:
+            raise ConfigParseError(path, line_no, f"invalid value for {key!r}: {exc}") from exc
+        key_lines[key] = line_no
     try:
         return ExperimentConfig(**values)
     except ConfigurationError as exc:

@@ -286,7 +286,6 @@ def test_criterion_08_noiseless_sanity():
     cfg = dataclasses.replace(
         ExperimentConfig(),
         K=1,
-        Lp=1,
         power_profile_db=(0.0,),
         snr_db=float("inf"),
         doppler=0.0,

@@ -90,29 +90,40 @@ _RANK_ERRORS = {"2:40": "D must not exceed M=33, got 34"}
 
 
 @pytest.mark.parametrize(
-    "d_range, exit_code",
-    [("2:6:2", 0), ("5:7", 0), ("6", 2), ("6:2", 2), ("2:x", 2), ("2::1", 2), ("2:40", 2)],
+    "ranks, rows",
+    [("2:6:2", 3), ("5:7", 3), ("6", 1), ("6:2", 0), ("2:x", 0), ("2::1", 0), ("2:40", 0)],
 )
-def test_complexity_subcommand(tmp_path, capsys, d_range, exit_code):
+def test_complexity_subcommand(tmp_path, capsys, ranks, rows):
+    """--D takes one rank or a LO:HI[:STEP] grid; rows = 0 marks a refused one."""
     out = tmp_path / "complexity.csv"
-    assert main(["complexity", "--out", str(out), "--d-range", d_range]) == exit_code
-    if exit_code:
-        assert _RANK_ERRORS.get(d_range, "bad range") in capsys.readouterr().err
+    assert main(["complexity", "--out", str(out), "--D", ranks]) == (0 if rows else 2)
+    if not rows:
+        assert _RANK_ERRORS.get(ranks, "bad range") in capsys.readouterr().err
         assert not out.exists()
         return
     lines = out.read_text().splitlines()
-    # 8 algorithms x 3 rank values + header
-    assert len(lines) == 1 + 8 * 3
+    # 8 algorithms at each rank + header
+    assert len(lines) == 1 + 8 * rows
 
     reference = [line for line in lines if line.startswith("jio_mber,33,6,1")]
     assert reference == ["jio_mber,33,6,1,,,1262,962"]
+
+
+def test_complexity_has_one_rank_option(tmp_path, capsys):
+    """--d-range is gone: it used to override --D without a word."""
+    out = tmp_path / "complexity.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["complexity", "--out", str(out), "--D", "6", "--d-range", "2:3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --d-range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_complexity_table_over_default_rank_grid(tmp_path):
     """The D = 2..20 table at M = 33, J = 1, Lp = 3, every algorithm at each
     rank in turn, is byte for byte the recorded one."""
     out = tmp_path / "complexity.csv"
-    argv = ["complexity", "--M", "33", "--J", "1", "--Lp", "3", "--d-range", "2:20"]
+    argv = ["complexity", "--M", "33", "--J", "1", "--Lp", "3", "--D", "2:20"]
     assert main([*argv, "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 153
     digest = "537e098353693b3f2c6317cd2551a740523cbc293216f7ce79a9a36497e28e4e"

@@ -59,11 +59,6 @@ class TestFormulaProperties:
                     assert rep.additions >= previous.additions
                 previous = rep
 
-    def test_rank_scan_is_monotone(self):
-        mults = [op_count(Algorithm.JIO_MBER, M=33, D=d, J=1).multiplications
-                 for d in range(2, 21)]
-        assert mults == sorted(mults)
-
     # (multiplications, additions, params, asymptotic) at M=33, D=6, J=5,
     # Lp=3, D_max=20, recorded from the formulas as first written
     GOLDEN = {

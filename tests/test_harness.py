@@ -115,10 +115,11 @@ class TestParseConfig:
         assert err.value.line == 2
         assert "J" in str(err.value)
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["frobnicate", "Lp"])  # Lp: len(power_profile_db)
+    def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "bad.cfg"
-        path.write_text("frobnicate = 3\n")
-        with pytest.raises(ConfigParseError) as err:
+        path.write_text(f"{key} = 3\n")
+        with pytest.raises(ConfigParseError, match=f"unknown key '{key}'") as err:
             parse_config(path)
         assert err.value.line == 1
 
@@ -177,7 +178,6 @@ class TestParseConfig:
         path.write_text(
             "N = 127\n"
             "K = 3\n"
-            "Lp = 2\n"
             "snr_db = 12.5\n"
             "D = 6\n"
             "D_min = 2\n"
@@ -204,7 +204,6 @@ class TestParseConfig:
         expected = ExperimentConfig(
             N=127,
             K=3,
-            Lp=2,
             snr_db=12.5,
             D=6,
             D_min=2,
@@ -235,6 +234,30 @@ class TestParseConfig:
         assert cfg == expected
         # repr tells 7 from 7.0, so each value also has its annotated type
         assert repr(cfg) == repr(expected)
+        assert cfg.Lp == 2
+
+    def test_tap_count_is_the_profile_length(self, tmp_path):
+        path = tmp_path / "two_taps.cfg"
+        path.write_text("power_profile_db = 0, -3\n")
+        cfg = parse_config(path)
+        assert (cfg.Lp, cfg.M) == (2, 32)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        """A BOM, as Notepad writes one, used to be read into the first key."""
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfN = 127\nK = 3\n")
+        cfg = parse_config(path)
+        assert (cfg.N, cfg.K) == (127, 3)
+
+    def test_file_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        """A byte that is no UTF-8 used to exit 3 on a bare codec error."""
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"K = 3 # \xff\n")
+        out = tmp_path / "x.csv"
+        code = cli_main(["run", "--trials", "1", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert f"{path}:0: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "line",
@@ -305,9 +328,14 @@ class TestValidateConfig:
         with pytest.raises(ConfigurationError):
             validate_config(dataclasses.replace(FAST, D=40))
 
-    def test_profile_length_must_match_paths(self):
-        with pytest.raises(ConfigurationError):
-            validate_config(dataclasses.replace(FAST, power_profile_db=(0.0,)))
+    def test_profile_holds_1_to_n_plus_1_taps(self):
+        """An M = N + Lp - 1 observation window needs 1 <= Lp <= N + 1."""
+        for taps in (1, 32):
+            assert dataclasses.replace(FAST, power_profile_db=(0.0,) * taps).Lp == taps
+        for taps in (0, 33):
+            with pytest.raises(ConfigurationError, match="power_profile_db needs 1 to N") as err:
+                dataclasses.replace(FAST, power_profile_db=(0.0,) * taps)
+            assert err.value.field == "power_profile_db"
 
     def test_unknown_detector(self):
         with pytest.raises(ConfigurationError):
@@ -384,7 +412,6 @@ class TestValidateConfig:
     @pytest.mark.parametrize(
         "text, field, message",
         [
-            ("Lp = 4", "power_profile_db", "power profile has 3 entries, expected Lp=4"),
             ("D_max = 2", "D_min", "need 1 <= D_min <= D_max=2, got 3"),
         ],
     )
@@ -588,7 +615,6 @@ class TestRunTrial:
         cfg = dataclasses.replace(
             FAST,
             K=1,
-            Lp=1,
             power_profile_db=(0.0,),
             snr_db=float("inf"),
             doppler=0.0,
@@ -975,7 +1001,6 @@ class TestMatchedFilterBound:
     CFG = dataclasses.replace(
         ExperimentConfig(),
         K=1,
-        Lp=1,
         power_profile_db=(0.0,),
         doppler=0.0,
         snr_db=3.0,
