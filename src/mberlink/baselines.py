@@ -34,7 +34,7 @@ def lms_update(state: FullRankState, r: np.ndarray, b_known: int | None = None) 
     wr = np.vdot(state.w, r)
     decided = _decide(wr.real)
     e = float(decided if b_known is None else b_known) - wr
-    state.w = state.w + state.mu * np.conj(e) * r
+    state.w = state.w + state.mu * e.conjugate() * r
     return decided
 
 

@@ -6,7 +6,7 @@ observation dimension M, rank D, inner cycles J, path count Lp and the
 maximum rank D_max of the automatic rank-selection variant.  Each row is
 one function whose arguments are exactly the parameters that algorithm
 requires; ``op_count`` validates those and no others, and refuses a
-rank (D or D_max) above M.  The
+rank (D or D_max) or a tap count Lp above M.  The
 eigendecomposition row only has an order-of-magnitude cost, reported as
 M**3 with the ``asymptotic`` flag set.
 """
@@ -98,7 +98,7 @@ def op_count(
                 f"{algorithm.value}: {name} must be a positive integer, got {value}",
                 field=name,
             )
-        if name in ("D", "D_max") and count > params["M"]:  # every formula takes M first
+        if name in ("D", "D_max", "Lp") and count > params["M"]:  # every formula takes M first
             raise ConfigurationError(
                 f"{algorithm.value}: {name} must not exceed M={params['M']}, got {count}",
                 field=name,

@@ -17,6 +17,7 @@ is summarized as a run at that rank.  A sweep result keeps every point's run.
 
 import dataclasses
 import functools
+import hashlib
 import time
 
 import numpy as np
@@ -184,7 +185,8 @@ def _map_trials(worker, cfg: ExperimentConfig, jobs: int) -> list:
 def _summarize(cfg: ExperimentConfig, trials, start: float) -> ExperimentResult:
     """``cfg``'s trials, in seed order, as an ExperimentResult: per detector
     the BER trace, each trial's final-window BER, their mean and its
-    standard error; ``start`` is when the run began."""
+    standard error, and each trial's decision digest (the first 16 hex
+    digits of the sha256 of its int8 decisions); ``start`` is when the run began."""
     window = min(FINAL_WINDOW, cfg.num_symbols)
     per_trial = [t.errors for t in trials]  # derived on each read: read once per trial
     errors = {name: np.stack([e[name] for e in per_trial]) for name in cfg.detectors}
@@ -210,6 +212,13 @@ def _summarize(cfg: ExperimentConfig, trials, start: float) -> ExperimentResult:
         failed_trials={
             name: (cfg.base_seed + np.flatnonzero(ber > FAILED_TRIAL_BER)).tolist()
             for name, ber in final_trials.items()
+        },
+        decision_digests={
+            name: {
+                str(seed): hashlib.sha256(trial.decisions[name].tobytes()).hexdigest()[:16]
+                for seed, trial in enumerate(trials, cfg.base_seed)
+            }
+            for name in cfg.detectors
         },
     )
 

@@ -119,23 +119,44 @@ def jio_step(state: JioState, r: np.ndarray, b_known: int | None = None) -> int:
     The decision comes from the state as it stood before any update.
     ``b_known`` (training) drives the updates; None makes the detector's
     own decision drive them (decision-directed operation), as in
-    :func:`stack_step`.  Each cycle is :func:`_cycle` (whose filter half
-    is :func:`update_filter`) and :func:`scale_filter`'s scaling by
-    :func:`_unit_norm`, whose ``S w / s`` the next cycle takes; the first
-    takes the ``S w`` and ``Re x`` the decision formed.  This is the one
-    single-state adaptation path, :func:`auto_step`'s too.  A non-finite
-    output raises :class:`~mberlink.errors.NumericalError`.
+    :func:`stack_step`.  This is the one single-state adaptation kernel,
+    :func:`auto_step`'s too.  A non-finite output raises
+    :class:`~mberlink.errors.NumericalError`.
+
+    The cycles run in one loop body that calls numpy directly, as per-call
+    overhead dominates at these sizes.  The composed functions are its
+    bit-exact reference: :func:`_cycle` (whose filter half is
+    :func:`update_filter`) with :func:`_mber_factor`, then
+    :func:`scale_filter`'s scaling by :func:`_unit_norm`, whose ``S w / s``
+    the next cycle takes; the first takes the ``S w`` and ``Re x`` the
+    decision formed.  ``S w`` stays a matmul: ``np.dot`` rounds it
+    differently at D = 1.
     """
     S, w = state.S, state.w
     sw = S @ w
     xr = float(np.vdot(sw, r).real)
     decided = _decide(xr)
-    b = decided if b_known is None else b_known
-    for _ in range(state.J):
-        S, w_next = _cycle(S, w, r, b, state.rho, state.mu_w, state.mu_S, sw, xr)
+    b = float(decided if b_known is None else b_known)
+    rho, mu_w, mu_S = state.rho, state.mu_w, state.mu_S
+    # _mber_factor's operands at n = 1, in its order: e b / (2 sqrt(2 pi) rho)
+    two_rho_sq, k = 2.0 * rho * rho, 2.0 * _SQRT_2PI * rho
+    for j in range(state.J):
+        if j:  # _unit_norm's S w_next / s of the previous cycle
+            sw = sw / s
+            xr = float(np.vdot(sw, r).real)
+        c = float(np.exp(-(xr * xr) / two_rho_sq)) * b / k
+        v = r - xr * sw
+        w_next = w + (mu_w * c) * np.dot(v.conj(), S).conj()
+        S = S + ((mu_S * c) * v)[:, None] * w.conj()
         sw = S @ w_next
-        w, s = _unit_norm(w_next, sw)
-        sw, xr = sw / s, None
+        norm_sq = np.vdot(sw, sw).real
+        if not math.isfinite(norm_sq):
+            raise NumericalError(f"filter norm is {norm_sq}")
+        if norm_sq < _NORM_EPS:
+            w, s = w_next, 1.0
+        else:
+            s = math.sqrt(norm_sq)
+            w = w_next / s
     state.S, state.w = S, w
     return decided
 
@@ -174,6 +195,8 @@ def stack_step(stack: JioState, ranks, r: np.ndarray, b_known: int | None = None
     rc = r.conj()[:, None]  # Re(sw . conj r) rounds as np.vdot(sw, r).real
     sw = (S @ w[:, :, None])[:, :, 0]
     for j in range(stack.J):
+        if j:  # the previous cycle's S w_next / s
+            sw = sw / s
         xr = (sw[:, None, :] @ rc)[:, 0, 0].real
         if j == 0:
             _check_finite(ranks, xr, "detector output")
@@ -190,7 +213,7 @@ def stack_step(stack: JioState, ranks, r: np.ndarray, b_known: int | None = None
         _check_finite(ranks, norm_sq, "filter norm")
         # dividing by 1 keeps a filter whose norm is ~0, as _unit_norm does
         s = np.where(norm_sq < _NORM_EPS, 1.0, np.sqrt(norm_sq))[:, None]
-        w, sw = w_next / s, sw / s
+        w = w_next / s
     stack.w = w
     return decided
 
@@ -210,8 +233,8 @@ def _truncated_statistics(state: JioState, d_min: int, r: np.ndarray):
     D = state.w.shape[0]
     if not 1 <= d_min <= D:
         raise ConfigurationError(f"need 1 <= d_min <= D={D}, got d_min={d_min}")
-    sw = np.cumsum(state.S * state.w[None, :], axis=1)
-    x = r.conj() @ sw
+    sw = np.cumsum(state.S * state.w, axis=1)
+    x = np.dot(r.conj(), sw)
     n = (sw.real**2 + sw.imag**2).sum(axis=0)
     xr = x.real[d_min - 1 :]
     nn = n[d_min - 1 :]

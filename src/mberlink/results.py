@@ -61,6 +61,8 @@ class ExperimentResult:
     health: dict = field(default_factory=dict)
     # per detector, the seeds of the trials whose final-window BER is above harness.FAILED_TRIAL_BER
     failed_trials: dict = field(default_factory=dict)
+    # per detector, trial seed (as text) -> first 16 hex digits of the sha256 of its int8 decisions
+    decision_digests: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -128,6 +130,7 @@ def emit_csv(result, path) -> None:
             "final_window": result.final_window,
             "rank_counts": {name: counts.tolist() for name, counts in result.rank_counts.items()},
             "failed_trials": result.failed_trials,
+            "decision_digests": result.decision_digests,
         }
     elif isinstance(result, SweepResult):
         header = "axis_value,detector,ber,stderr"

@@ -135,6 +135,9 @@ class JakesChannel:
         profile = np.atleast_1d(np.asarray(power_profile_db, dtype=np.float64))
         if profile.ndim != 1 or profile.shape[0] < 1:
             raise ConfigurationError("power profile must be a non-empty 1-D sequence")
+        # tap 0 is the reference; a later tap of -inf dB is a path with no power
+        if not (np.isfinite(profile[0]) and (profile < np.inf).all()):
+            raise ConfigurationError("power profile must be below inf dB, with tap 0 finite")
         if not 0 <= normalized_doppler < np.inf:
             raise ConfigurationError("normalized Doppler must be a finite number >= 0")
 

@@ -66,6 +66,23 @@ class TestLms:
             lms_update(state, windows[i], int(bits[i, 0]))
         assert sq_err[:500].mean() > sq_err[-500:].mean()
 
+    def test_bit_identical_to_plain_lms_formula(self):
+        """Over 200 symbols, 60 trained then decision-directed, every step
+        equals ``w + mu conj(b - w^H r) r`` bit for bit, b the reference bit
+        in training and the decision after it."""
+        windows, bits = toy_stream(200, sigma=0.5, seed=3)
+        state = init_full_rank(4, mu=0.05)
+        w = state.w.copy()
+        for i, r in enumerate(windows):
+            b_known = int(bits[i, 0]) if i < 60 else None
+            decided = lms_update(state, r, b_known)
+            wr = np.vdot(w, r)
+            assert decided == (1 if wr.real >= 0 else -1)
+            b = decided if b_known is None else b_known
+            w = w + 0.05 * np.conj(b - wr) * r
+            assert np.array_equal(state.w, w), i
+        assert w.any()
+
 
 class TestMberFullRank:
     def test_mu_zero_identity_on_normalized_filter(self):

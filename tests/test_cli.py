@@ -119,6 +119,14 @@ def test_complexity_has_one_rank_option(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_complexity_refuses_tap_count_above_m(tmp_path, capsys):
+    out = tmp_path / "complexity.csv"
+    argv = ["complexity", "--M", "5", "--D", "2", "--Lp", "40", "--Dmax", "5"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "Lp must not exceed M=5, got 40" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_complexity_table_over_default_rank_grid(tmp_path):
     """The D = 2..20 table at M = 33, J = 1, Lp = 3, every algorithm at each
     rank in turn, is byte for byte the recorded one."""

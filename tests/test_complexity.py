@@ -102,6 +102,8 @@ class TestFormulaProperties:
             (Algorithm.JIO_MBER, {"D": 9, "J": 1}, "D"),
             (Algorithm.MWF_MBER, {"D": 6, "Lp": 3}, "D"),
             (Algorithm.JIO_MBER_AUTO, {"D_max": 20}, "D_max"),
+            # M = N + Lp - 1 >= Lp for every channel, so a tap count above M is refused too
+            (Algorithm.MWF_MBER, {"D": 2, "Lp": 40}, "Lp"),
         ],
     )
     def test_rank_above_observation_size_rejected(self, algorithm, params, name):
@@ -112,6 +114,7 @@ class TestFormulaProperties:
     def test_rank_equal_to_observation_size_accepted(self):
         assert op_count(Algorithm.JIO_MBER, M=5, D=5, J=1).params["D"] == 5
         assert op_count(Algorithm.JIO_MBER_AUTO, M=5, D_max=5).params["D_max"] == 5
+        assert op_count(Algorithm.MWF_MBER, M=5, D=2, Lp=5).params["Lp"] == 5
 
     @pytest.mark.parametrize("value", [3.7, 0.5, True])
     def test_non_integer_parameter_rejected(self, value):

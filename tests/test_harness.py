@@ -68,7 +68,7 @@ def _assert_same_run(got, want):
         assert got_arrays.keys() == want_arrays.keys()
         for name in want_arrays:
             np.testing.assert_array_equal(got_arrays[name], want_arrays[name])
-    for key in ("final_ber", "final_stderr", "failed_trials", "health"):
+    for key in ("final_ber", "final_stderr", "failed_trials", "health", "decision_digests"):
         assert getattr(got, key) == getattr(want, key)
     assert got.rank_counts.keys() == want.rank_counts.keys()
     for name in want.rank_counts:
@@ -1099,6 +1099,32 @@ class TestRunMonteCarlo:
         meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
         assert meta["failed_trials"] == failed.failed_trials
 
+    def test_decision_digests_match_recorded_reference_trial(self, tmp_path):
+        """A default one-trial run (seed 1234) records per detector the
+        decision digest that the benchmark recorded for reference trial
+        8/1234, in the result and in the trace sidecar."""
+        recorded = _recorded_digests("reference")[0]["trials"]["8/1234"]
+        want = {name: {"1234": recorded[name][0]} for name in DETECTOR_NAMES}
+        result = run_monte_carlo(ExperimentConfig(num_trials=1))
+        assert result.decision_digests == want
+        emit_csv(result, tmp_path / "out.csv")
+        meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+        assert meta["decision_digests"] == want
+
+    def test_decision_digests_name_each_trials_seed(self):
+        """Trial t's digest is keyed by its seed, base_seed + t, and hashes
+        that trial's int8 decisions."""
+        result = run_monte_carlo(FAST)
+        seeds = range(FAST.base_seed, FAST.base_seed + FAST.num_trials)
+        trials = {str(seed): run_trial(FAST, seed) for seed in seeds}
+        assert result.decision_digests == {
+            name: {
+                seed: _digest(t.decisions[name], t.errors[name], 1)[0]
+                for seed, t in trials.items()
+            }
+            for name in FAST.detectors
+        }
+
     def test_failed_trials_name_the_trials_seed(self):
         """Trial t is listed by its own seed, base_seed + t."""
         cfg = ExperimentConfig(num_trials=2, base_seed=1239, detectors=("full_rank_lms",))
@@ -1405,6 +1431,7 @@ class TestEmitCsv:
         assert all(seconds > 0 for seconds in stages.values())
         assert sum(stages.values()) <= meta["wall_time_s"]
         assert "rank_counts" not in meta and "failed_trials" not in meta
+        assert "decision_digests" not in meta
         # the sidecar echoes the grid the sweep ran
         grid = [2, 4, 6, 8, 10, 12, 16, 20]
         assert meta["config"]["rank_sweep"] == grid

@@ -210,6 +210,18 @@ class TestJakesChannel:
             with pytest.raises(ConfigurationError):
                 JakesChannel([0.0], doppler, seed=0)
 
+    @pytest.mark.parametrize(
+        "profile",
+        [[0.0, np.nan], [np.nan], [0.0, np.inf], [np.inf], [-np.inf], [-np.inf, 0.0]],
+        ids=["nan_tap", "nan_only", "inf_tap", "inf_only", "minus_inf_only", "minus_inf_first"],
+    )
+    def test_rejects_non_finite_profile(self, profile):
+        """A NaN or +inf dB entry, or a tap 0 that is not finite, is refused
+        instead of giving non-finite taps; a later -inf dB tap, a path with
+        no power, stays allowed (``test_matches_per_tap_reference``)."""
+        with pytest.raises(ConfigurationError, match="power profile"):
+            JakesChannel(profile, 5e-5, seed=1)
+
 
 class TestUserConfig:
     @pytest.mark.parametrize("amplitude", [0.0, -1.0, float("nan"), float("inf")])
