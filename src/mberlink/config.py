@@ -69,7 +69,6 @@ class ExperimentConfig:
     snr_sweep: tuple[float, ...] = (0.0, 2.5, 5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0)
     users_sweep: tuple[int, ...] = tuple(range(1, 17))
     rank_sweep: tuple[int, ...] = (2, 4, 6, 8, 10, 12, 16, 20)
-    smoothing_window: int = 0
 
     def __post_init__(self):
         validate_config(self)
@@ -85,6 +84,11 @@ class ExperimentConfig:
     @property
     def num_symbols(self) -> int:
         return self.tr_symbols + self.dd_symbols
+
+
+def _fmt(value: float) -> str:
+    """A number as the CSV and sidecar write it, to 6 significant digits."""
+    return "%.6g" % value
 
 
 def _radius_computable(cfg: ExperimentConfig, snr_db: float) -> bool:
@@ -178,10 +182,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
             bad("detectors", f"unknown detector {det!r}; known: {DETECTOR_NAMES}")
     for key in ("detectors", *(grid_key for grid_key, _ in _SWEEP_AXES.values())):
         entries = getattr(cfg, key)
-        if len(set(entries)) < len(entries):
+        shown = entries if key == "detectors" else [_fmt(e) for e in entries]
+        if len(set(shown)) < len(entries):
             bad(key, f"{key} repeats an entry: {entries}")
-    if not 0 <= cfg.smoothing_window <= cfg.num_symbols:
-        bad("smoothing_window", f"smoothing_window must lie in [0, {cfg.num_symbols}]")
 
 
 def _field_parser(kind):

@@ -27,12 +27,13 @@ from .config import (
     _GOLD_DEGREES,
     _SWEEP_AXES,
     ExperimentConfig,
+    _fmt,
     kernel_radius,
     noise_sigma,
 )
 from .errors import ConfigurationError, NumericalError
 from .jio_mber import auto_step, init_stack, init_state, jio_step, stack_step
-from .results import ExperimentResult, SweepResult, TrialResult, _fmt
+from .results import ExperimentResult, SweepResult, TrialResult
 from .signal_model import JakesChannel, UserConfig, generate_gold_family, synthesize_arrays
 
 # not used here: the benchmark worker calls harness.parse_config and traces harness.emit_csv
@@ -176,9 +177,8 @@ def _map_trials(worker, cfg: ExperimentConfig, jobs: int) -> list:
     if jobs > 1 and cfg.num_trials > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, cfg.num_trials // (4 * jobs))
         with ProcessPoolExecutor(max_workers=min(jobs, cfg.num_trials)) as pool:
-            return list(pool.map(worker, seeds, chunksize=chunk))
+            return list(pool.map(worker, seeds))
     return [worker(seed) for seed in seeds]
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .config import _SWEEP_AXES, ExperimentConfig
+from .config import _SWEEP_AXES, ExperimentConfig, _fmt
 
 
 @dataclass
@@ -79,26 +79,6 @@ class SweepResult:
     health: dict = field(default_factory=dict)
 
 
-def smooth_trace(trace: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average for plotting; window <= 1 is a no-op.
-
-    Near either end the window holds fewer samples, and each output is
-    the mean of the samples actually inside it.  The output has
-    ``len(trace)`` values for any window, longer than the trace or not.
-    """
-    if window <= 1:
-        return trace
-    kernel = np.ones(window)
-    # output i averages trace[i - window // 2 : i + (window + 1) // 2]
-    centre = slice((window - 1) // 2, (window - 1) // 2 + len(trace))
-    counts = np.convolve(np.ones(len(trace)), kernel)[centre]
-    return np.convolve(trace, kernel)[centre] / counts
-
-
-def _fmt(value: float) -> str:
-    return "%.6g" % value
-
-
 def _json_value(value):
     """A config or health value for JSON, a non-finite float as text ("inf" parses back)."""
     if isinstance(value, dict):
@@ -111,19 +91,20 @@ def _json_value(value):
 def emit_csv(result, path) -> None:
     """Write an experiment or sweep result as CSV plus a JSON sidecar.
 
-    Trace results use ``symbol_index,detector,ber`` rows (optionally
-    smoothed per the config); sweeps use ``axis_value,detector,ber,stderr``
-    rows, one per grid point and detector, from that point's run.  Numeric
-    values carry 6 significant digits.  Output is deterministic for a given result.
+    Trace results use ``symbol_index,detector,ber`` rows, each detector's
+    trial-averaged BER per symbol: its last ``final_window`` rows average to
+    its final BER.  Sweeps use ``axis_value,detector,ber,stderr`` rows, one
+    per grid point and detector, from that point's run; the sidecar keys
+    each point's failed trials and decision digests by its axis value.
+    Numeric values carry 6 significant digits.  Output is deterministic for a given result.
     """
     path = str(path)
     if isinstance(result, ExperimentResult):
-        window = result.config.smoothing_window
         header = "symbol_index,detector,ber"
         rows = [
             f"{i},{name},{_fmt(ber)}"
             for name, trace in result.ber_trace.items()
-            for i, ber in enumerate(smooth_trace(trace, window))
+            for i, ber in enumerate(trace)
         ]
         meta = {
             "kind": "trace",
@@ -135,13 +116,15 @@ def emit_csv(result, path) -> None:
     elif isinstance(result, SweepResult):
         header = "axis_value,detector,ber,stderr"
         point_key = _SWEEP_AXES[result.axis][1]
+        points = [(_fmt(getattr(point.config, point_key)), point) for point in result.points]
         rows = [
-            f"{_fmt(getattr(point.config, point_key))},{name},"
-            f"{_fmt(point.final_ber[name])},{_fmt(point.final_stderr[name])}"
-            for point in result.points
+            f"{value},{name},{_fmt(point.final_ber[name])},{_fmt(point.final_stderr[name])}"
+            for value, point in points
             for name in point.config.detectors
         ]
         meta = {"kind": "sweep", "axis": result.axis}
+        for key in ("failed_trials", "decision_digests"):
+            meta[key] = {value: getattr(point, key) for value, point in points}
     else:
         raise TypeError(f"cannot emit {type(result).__name__} as CSV")
     with open(path, "w", encoding="utf-8", newline="") as fh:

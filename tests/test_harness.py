@@ -23,7 +23,7 @@ from mberlink.config import (
 )
 from mberlink.errors import ConfigParseError, ConfigurationError, NumericalError
 from mberlink.harness import _build_users, _detector, run_monte_carlo, run_trial, sweep
-from mberlink.results import ExperimentResult, SweepResult, emit_csv, smooth_trace
+from mberlink.results import ExperimentResult, SweepResult, emit_csv
 from mberlink.baselines import init_full_rank
 from mberlink.detector_core import q_function
 from mberlink.jio_mber import auto_step, init_state, jio_step
@@ -115,7 +115,8 @@ class TestParseConfig:
         assert err.value.line == 2
         assert "J" in str(err.value)
 
-    @pytest.mark.parametrize("key", ["frobnicate", "Lp"])  # Lp: len(power_profile_db)
+    # Lp is len(power_profile_db); the trace CSV is written unsmoothed
+    @pytest.mark.parametrize("key", ["frobnicate", "Lp", "smoothing_window"])
     def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "bad.cfg"
         path.write_text(f"{key} = 3\n")
@@ -153,11 +154,13 @@ class TestParseConfig:
             "snr_sweep = 10, 15, 10.0",
             "users_sweep = 2, 2",
             "rank_sweep = 3, 4, 3",
+            "snr_sweep = 10.0000001, 10.0000002",
         ],
     )
     def test_repeated_entry_rejected(self, tmp_path, line):
         """A repeated detector used to run twice and print twice; a repeated
-        grid point repeated its CSV rows."""
+        grid point, or two that print alike to 6 digits, repeated its CSV
+        rows and shared one sidecar key."""
         path = tmp_path / "bad.cfg"
         path.write_text(f"K = 3\n{line}\n")
         with pytest.raises(ConfigParseError) as err:
@@ -199,7 +202,6 @@ class TestParseConfig:
             "snr_sweep = 5, 10\n"
             "users_sweep = 2, 4,\n"
             "rank_sweep = 3,, 5\n"
-            "smoothing_window = 5\n"
         )
         expected = ExperimentConfig(
             N=127,
@@ -225,7 +227,6 @@ class TestParseConfig:
             snr_sweep=(5.0, 10.0),
             users_sweep=(2, 4),
             rank_sweep=(3, 5),
-            smoothing_window=5,
         )
         default = ExperimentConfig()
         for f in dataclasses.fields(ExperimentConfig):
@@ -540,17 +541,6 @@ class TestValidateConfig:
         with pytest.raises(ConfigurationError) as err:
             dataclasses.replace(FAST, **{name: "0.1"})
         assert err.value.field == name
-
-    def test_smoothing_window_longer_than_trace_rejected(self, tmp_path):
-        """A window beyond the 10 symbols would make emit_csv write 25
-        trace rows for symbols that do not exist."""
-        path = tmp_path / "bad.cfg"
-        path.write_text("tr_symbols = 5\ndd_symbols = 5\nsmoothing_window = 25\n")
-        with pytest.raises(ConfigParseError) as err:
-            parse_config(path)
-        assert err.value.line == 3
-        assert "smoothing_window" in str(err.value)
-        validate_config(dataclasses.replace(FAST, smoothing_window=FAST.num_symbols))
 
 
 class TestNoiseMapping:
@@ -1430,12 +1420,25 @@ class TestEmitCsv:
         assert set(stages) == {"synthesis", "jio_mber_fixed"}
         assert all(seconds > 0 for seconds in stages.values())
         assert sum(stages.values()) <= meta["wall_time_s"]
-        assert "rank_counts" not in meta and "failed_trials" not in meta
-        assert "decision_digests" not in meta
+        assert "rank_counts" not in meta
+        for key in ("failed_trials", "decision_digests"):
+            assert meta[key] == {str(p.config.D): getattr(p, key) for p in swept.points}
         # the sidecar echoes the grid the sweep ran
         grid = [2, 4, 6, 8, 10, 12, 16, 20]
         assert meta["config"]["rank_sweep"] == grid
         assert [point.config.D for point in swept.points] == grid
+
+    def test_rank_sweep_sidecar_holds_recorded_digests(self, tmp_path):
+        """A default one-trial rank sweep (seed 1234) writes per rank D the
+        decision digest the benchmark recorded for rank_sweep trial D/1234."""
+        recorded = _recorded_digests("rank_sweep")[0]["trials"]
+        cfg = ExperimentConfig(num_trials=1)
+        emit_csv(sweep(cfg, axis="rank"), tmp_path / "sweep.csv")
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert meta["decision_digests"] == {
+            str(d): {"jio_mber_fixed": {"1234": recorded[f"{d}/1234"]["jio_mber_fixed"][0]}}
+            for d in cfg.rank_sweep
+        }
 
     def test_sidecars_name_the_software_environment(self, tmp_path):
         import platform
@@ -1498,36 +1501,3 @@ class TestEmitCsv:
         emit_csv(run_monte_carlo(FAST), path_a)
         emit_csv(run_monte_carlo(FAST), path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
-
-
-class TestSmoothing:
-    def test_window_one_is_identity(self):
-        trace = np.array([0.1, 0.5, 0.2])
-        assert np.array_equal(smooth_trace(trace, 1), trace)
-
-    def test_moving_average(self):
-        trace = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
-        smoothed = smooth_trace(trace, 3)
-        np.testing.assert_allclose(smoothed[1:4], [1 / 3, 2 / 3, 1 / 3])
-
-    @pytest.mark.parametrize("window", range(2, 11))
-    def test_constant_trace_stays_constant(self, window):
-        """No zero padding at either end, odd or even window."""
-        trace = np.full(10, 0.3)
-        np.testing.assert_allclose(smooth_trace(trace, window), trace, rtol=1e-15)
-
-    def test_ends_average_the_samples_inside_the_window(self):
-        trace = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
-        np.testing.assert_allclose(smooth_trace(trace, 3)[[0, 4]], [0.5, 0.5])
-        # even window: output i averages trace[i - 2 : i + 2]
-        expected = [0.5, 1.0, 1.5, 2.5, 3.0]
-        np.testing.assert_allclose(smooth_trace(np.arange(5.0), 4), expected)
-
-    @pytest.mark.parametrize("n, window", [(3, 10), (3, 4), (1, 2), (5, 6)])
-    def test_window_longer_than_trace_keeps_its_length(self, n, window):
-        trace = np.arange(float(n))
-        expected = [
-            trace[max(0, i - window // 2) : i + (window + 1) // 2].mean()
-            for i in range(n)
-        ]
-        np.testing.assert_allclose(smooth_trace(trace, window), expected, rtol=1e-15)
