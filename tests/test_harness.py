@@ -16,6 +16,7 @@ from mberlink.cli import main as cli_main
 from mberlink.config import (
     DETECTOR_NAMES,
     ExperimentConfig,
+    _fmt,
     kernel_radius,
     noise_sigma,
     parse_config,
@@ -167,6 +168,36 @@ class TestParseConfig:
             parse_config(path)
         assert err.value.line == 2
         assert f"{line.split()[0]} repeats an entry" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "line, grid",
+        [
+            ("snr_sweep = 10.0001, 10.0002", (10.0001, 10.0002)),
+            ("snr_sweep = 0, 1e-06", (0.0, 1e-06)),
+            ("snr_sweep = 10, inf", (10.0, math.inf)),
+        ],
+    )
+    def test_grid_points_that_print_apart_accepted(self, tmp_path, line, grid):
+        """The repeats rule refuses only points the CSV would print alike."""
+        path = tmp_path / "ok.cfg"
+        path.write_text(f"{line}\n")
+        assert parse_config(path).snr_sweep == grid
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (0.0, "0"),
+            (12.5, "12.5"),
+            (0.123456789, "0.123457"),
+            (1e-07, "1e-07"),
+            (10.0000001, "10"),
+            (math.inf, "inf"),
+        ],
+    )
+    def test_csv_number_format(self, value, text):
+        """One format, to 6 significant digits, writes the CSV's numbers,
+        keys the sidecar's grid points and decides which grid points repeat."""
+        assert _fmt(value) == text
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -1501,3 +1532,91 @@ class TestEmitCsv:
         emit_csv(run_monte_carlo(FAST), path_a)
         emit_csv(run_monte_carlo(FAST), path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "axis, grid",
+        [("snr", {"snr_sweep": (8.0, 12.5)}), ("users", {"users_sweep": (1, 2)}),
+         ("rank", {"rank_sweep": (2, 4)})],
+    )
+    def test_sweep_sidecar_blocks_keyed_by_csv_axis_values(self, tmp_path, axis, grid):
+        """Each point's failed trials and decision digests sit under the axis
+        value its CSV rows print, one block per point, as its health does."""
+        cfg = dataclasses.replace(FAST, num_trials=2, **grid)
+        swept = sweep(cfg, axis=axis)
+        emit_csv(swept, tmp_path / "sweep.csv")
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        values = list(dict.fromkeys(row.split(",")[0] for row in rows))
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert len(values) == len(swept.points)
+        for key in ("failed_trials", "decision_digests"):
+            assert meta[key] == dict(zip(values, (getattr(p, key) for p in swept.points)))
+
+
+def _trace_result(ber_trace, final_window=1):
+    """A hand-built run holding only ``ber_trace``, for writing as CSV."""
+    traces = {name: np.asarray(trace, dtype=float) for name, trace in ber_trace.items()}
+    return ExperimentResult(
+        config=FAST,
+        ber_trace=traces,
+        final_ber={name: float(t[-final_window:].mean()) for name, t in traces.items()},
+        final_stderr={name: 0.0 for name in traces},
+        final_ber_trials={name: t[-final_window:] for name, t in traces.items()},
+        rank_counts={},
+        final_window=final_window,
+        wall_time_s=0.0,
+    )
+
+
+def _csv_traces(path):
+    """A trace CSV read back as, per detector, its (symbol_index, ber) rows."""
+    traces = {}
+    for line in pathlib.Path(path).read_text().splitlines()[1:]:
+        idx, name, ber = line.split(",")
+        traces.setdefault(name, []).append((int(idx), float(ber)))
+    return traces
+
+
+class TestTraceCsv:
+    """A trace CSV holds each detector's trial-averaged BER per symbol as
+    the run computed it, with nothing smoothed or dropped."""
+
+    def test_rows_are_the_trace_as_computed(self, tmp_path):
+        """An alternating trace comes back alternating: no value is averaged
+        with its neighbours."""
+        emit_csv(_trace_result({"full_rank_lms": [0.0, 1.0, 0.0, 1.0, 0.0]}), tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_text().splitlines()[1:] == [
+            "0,full_rank_lms,0",
+            "1,full_rank_lms,1",
+            "2,full_rank_lms,0",
+            "3,full_rank_lms,1",
+            "4,full_rank_lms,0",
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_one_row_per_symbol_for_any_trace_length(self, tmp_path, n):
+        trace = np.linspace(0.0, 0.5, n)
+        emit_csv(_trace_result({"full_rank_lms": trace}), tmp_path / "t.csv")
+        rows = _csv_traces(tmp_path / "t.csv")["full_rank_lms"]
+        assert [i for i, _ in rows] == list(range(n))
+        assert [ber for _, ber in rows] == [float(_fmt(b)) for b in trace]
+
+    def test_each_detector_indexed_from_symbol_zero(self, tmp_path):
+        ber_trace = {"full_rank_lms": [0.5, 0.25, 0.125], "jio_mber_auto": [0.3, 0.2, 0.1]}
+        emit_csv(_trace_result(ber_trace), tmp_path / "t.csv")
+        got = _csv_traces(tmp_path / "t.csv")
+        assert list(got) == list(ber_trace)
+        for name, trace in ber_trace.items():
+            assert got[name] == list(enumerate(trace))
+
+    @pytest.mark.parametrize("name", DETECTOR_NAMES)
+    def test_last_final_window_rows_average_to_final_ber(self, tmp_path, monkeypatch, name):
+        """The README's reading of the CSV: a detector's last ``final_window``
+        rows average to its printed final BER, up to the 6-digit rounding."""
+        monkeypatch.setattr(harness, "FINAL_WINDOW", 40)
+        mc = run_monte_carlo(FAST)
+        assert mc.final_window == 40 < FAST.num_symbols
+        emit_csv(mc, tmp_path / "t.csv")
+        rows = _csv_traces(tmp_path / "t.csv")[name]
+        assert len(rows) == FAST.num_symbols
+        tail = np.mean([ber for _, ber in rows[-mc.final_window :]])
+        assert tail == pytest.approx(mc.final_ber[name], rel=1e-5, abs=1e-9)
