@@ -27,13 +27,12 @@ from .config import (
     _GOLD_DEGREES,
     _SWEEP_AXES,
     ExperimentConfig,
-    _fmt,
     kernel_radius,
     noise_sigma,
 )
 from .errors import ConfigurationError, NumericalError
 from .jio_mber import auto_step, init_stack, init_state, jio_step, stack_step
-from .results import ExperimentResult, SweepResult, TrialResult
+from .results import ExperimentResult, SweepResult, TrialResult, _sum_stages
 from .signal_model import JakesChannel, UserConfig, generate_gold_family, synthesize_arrays
 
 # not used here: the benchmark worker calls harness.parse_config and traces harness.emit_csv
@@ -234,14 +233,6 @@ def run_monte_carlo(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     return _summarize(cfg, _map_trials(functools.partial(run_trial, cfg), cfg, jobs), start)
 
 
-def _sum_stages(stage_dicts) -> dict:
-    total = {}
-    for stages in stage_dicts:
-        for stage, seconds in stages.items():
-            total[stage] = total.get(stage, 0.0) + seconds
-    return total
-
-
 def _sum_health(trials) -> dict:
     """LMS counts summed over trials, how many trials had any, and the
     earliest first unstable symbol (None if none); the mean step load over
@@ -294,6 +285,4 @@ def sweep(cfg: ExperimentConfig, axis: str, jobs: int = 1) -> SweepResult:
         points=points,
         config=cfg,
         wall_time_s=time.perf_counter() - start,
-        stage_s=_sum_stages(point.stage_s for point in points),
-        health={_fmt(p): point.health for p, point in zip(grid, points) if point.health},
     )

@@ -83,15 +83,14 @@ def init_state(
     )
 
 
-def _cycle(S, w, r, b, rho, mu_w, mu_S, sw=None, xr=None):
+def _cycle(S, w, r, b, rho, mu_w, mu_S, sw=None):
     """One joint update ``(S_next, w_next)``: with ``v = r - Re x S w`` and
     the update factor ``c`` (which assumes a unit-norm state), S moves by
     ``(mu_S c) v w^H`` and w by ``(mu_w c) S^H v``.  A caller that already
-    holds ``sw = S w`` or ``xr = Re x`` of this state passes it instead."""
+    holds ``sw = S w`` of this state passes it instead."""
     if sw is None:
         sw = S @ w
-    if xr is None:
-        xr = float(np.vdot(sw, r).real)
+    xr = float(np.vdot(sw, r).real)
     c = _mber_factor(xr, b, rho)
     v = r - xr * sw
     w_next = w + (mu_w * c) * (v.conj() @ S).conj()

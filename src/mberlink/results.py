@@ -73,14 +73,24 @@ class SweepResult:
     points: list
     config: ExperimentConfig
     wall_time_s: float
-    # stage seconds summed over every grid point's trials
-    stage_s: dict = field(default_factory=dict)
-    # each grid point's health counters, keyed by its CSV axis value
-    health: dict = field(default_factory=dict)
+
+
+# what a sidecar writes of each run: a trace's at top level, a sweep's per point
+_RUN_BLOCKS = ("rank_counts", "failed_trials", "decision_digests", "health")
+
+
+def _sum_stages(stage_dicts) -> dict:
+    total = {}
+    for stages in stage_dicts:
+        for stage, seconds in stages.items():
+            total[stage] = total.get(stage, 0.0) + seconds
+    return total
 
 
 def _json_value(value):
-    """A config or health value for JSON, a non-finite float as text ("inf" parses back)."""
+    """A sidecar value for JSON: an array as a list, a non-finite float as text ("inf")."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     if isinstance(value, dict):
         return {k: _json_value(v) for k, v in value.items()}
     if isinstance(value, tuple):
@@ -94,8 +104,8 @@ def emit_csv(result, path) -> None:
     Trace results use ``symbol_index,detector,ber`` rows, each detector's
     trial-averaged BER per symbol: its last ``final_window`` rows average to
     its final BER.  Sweeps use ``axis_value,detector,ber,stderr`` rows, one
-    per grid point and detector, from that point's run; the sidecar keys
-    each point's failed trials and decision digests by its axis value.
+    per grid point and detector, from that point's run.  The sidecar holds
+    each run's ``_RUN_BLOCKS``: a trace's at top level, a sweep's keyed by axis value.
     Numeric values carry 6 significant digits.  Output is deterministic for a given result.
     """
     path = str(path)
@@ -106,13 +116,8 @@ def emit_csv(result, path) -> None:
             for name, trace in result.ber_trace.items()
             for i, ber in enumerate(trace)
         ]
-        meta = {
-            "kind": "trace",
-            "final_window": result.final_window,
-            "rank_counts": {name: counts.tolist() for name, counts in result.rank_counts.items()},
-            "failed_trials": result.failed_trials,
-            "decision_digests": result.decision_digests,
-        }
+        meta = {"kind": "trace", "final_window": result.final_window, "stage_s": result.stage_s}
+        blocks = {key: getattr(result, key) for key in _RUN_BLOCKS}
     elif isinstance(result, SweepResult):
         header = "axis_value,detector,ber,stderr"
         point_key = _SWEEP_AXES[result.axis][1]
@@ -122,19 +127,18 @@ def emit_csv(result, path) -> None:
             for value, point in points
             for name in point.config.detectors
         ]
-        meta = {"kind": "sweep", "axis": result.axis}
-        for key in ("failed_trials", "decision_digests"):
-            meta[key] = {value: getattr(point, key) for value, point in points}
+        stage_s = _sum_stages(point.stage_s for point in result.points)
+        meta = {"kind": "sweep", "axis": result.axis, "stage_s": stage_s}
+        blocks = {k: {value: getattr(point, k) for value, point in points} for k in _RUN_BLOCKS}
     else:
         raise TypeError(f"cannot emit {type(result).__name__} as CSV")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(line + "\n" for line in [header, *rows])
     meta.update(
+        _json_value(blocks),
         version=f"mberlink-{__version__}",
         environment={"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__},
         wall_time_s=result.wall_time_s,
-        stage_s=result.stage_s,
-        health=_json_value(result.health),
         config=_json_value(dataclasses.asdict(result.config)),
     )
     with open(path + ".meta.json", "w", encoding="utf-8") as fh:

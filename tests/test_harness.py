@@ -1009,10 +1009,11 @@ class TestLmsHealth:
         swept = sweep(
             dataclasses.replace(cfg, num_trials=1, snr_sweep=(15.0,)), axis="snr"
         )
-        assert set(swept.health) == {"15"}
         emit_csv(swept, tmp_path / "sweep.csv")
         meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
-        assert meta["health"] == swept.health
+        (point,) = swept.points
+        assert set(point.health) == {"full_rank_lms"}
+        assert meta["health"] == {"15": point.health}
 
 
 class TestMatchedFilterBound:
@@ -1227,11 +1228,21 @@ class TestSweep:
         assert len(serial.points) == len(parallel.points) == len(getattr(cfg, f"{axis}_sweep"))
         for got, want in zip(parallel.points, serial.points):
             _assert_same_run(got, want)
-        assert serial.health == parallel.health
         serial_csv, parallel_csv = tmp_path / "serial.csv", tmp_path / "parallel.csv"
         emit_csv(serial, serial_csv)
         emit_csv(parallel, parallel_csv)
         assert serial_csv.read_bytes() == parallel_csv.read_bytes()
+        serial_meta, parallel_meta = (
+            {k: v for k, v in json.loads(pathlib.Path(f"{path}.meta.json").read_text()).items()
+             if k not in ("wall_time_s", "stage_s")}
+            for path in (serial_csv, parallel_csv)
+        )
+        assert serial_meta == parallel_meta
+
+    def test_result_keeps_only_what_the_sweep_alone_knows(self):
+        """Every per-run figure of a sweep is read off its points."""
+        names = [f.name for f in dataclasses.fields(SweepResult)]
+        assert names == ["axis", "points", "config", "wall_time_s"]
 
     @pytest.mark.parametrize(
         "axis, point_key, grid, only",
@@ -1451,7 +1462,8 @@ class TestEmitCsv:
         assert set(stages) == {"synthesis", "jio_mber_fixed"}
         assert all(seconds > 0 for seconds in stages.values())
         assert sum(stages.values()) <= meta["wall_time_s"]
-        assert "rank_counts" not in meta
+        # the fixed-rank detector alone: no rank histogram and no health at any rank
+        assert meta["rank_counts"] == meta["health"] == {str(p.config.D): {} for p in swept.points}
         for key in ("failed_trials", "decision_digests"):
             assert meta[key] == {str(p.config.D): getattr(p, key) for p in swept.points}
         # the sidecar echoes the grid the sweep ran
@@ -1539,17 +1551,38 @@ class TestEmitCsv:
          ("rank", {"rank_sweep": (2, 4)})],
     )
     def test_sweep_sidecar_blocks_keyed_by_csv_axis_values(self, tmp_path, axis, grid):
-        """Each point's failed trials and decision digests sit under the axis
-        value its CSV rows print, one block per point, as its health does."""
-        cfg = dataclasses.replace(FAST, num_trials=2, **grid)
-        swept = sweep(cfg, axis=axis)
+        """Under the axis value its CSV rows print, each point's per-run
+        blocks are what that point's own trace sidecar writes at top level,
+        one block per point, and the sweep's stage_s sums the points' own."""
+        swept = sweep(dataclasses.replace(FAST, num_trials=2, **grid), axis=axis)
         emit_csv(swept, tmp_path / "sweep.csv")
         rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
         values = list(dict.fromkeys(row.split(",")[0] for row in rows))
-        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
         assert len(values) == len(swept.points)
-        for key in ("failed_trials", "decision_digests"):
-            assert meta[key] == dict(zip(values, (getattr(p, key) for p in swept.points)))
+        traces = []
+        for value, point in zip(values, swept.points):
+            emit_csv(point, tmp_path / f"{value}.csv")
+            traces.append(json.loads((tmp_path / f"{value}.csv.meta.json").read_text()))
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert results._RUN_BLOCKS == ("rank_counts", "failed_trials", "decision_digests", "health")
+        for key in results._RUN_BLOCKS:
+            assert meta[key] == {value: trace[key] for value, trace in zip(values, traces)}, key
+        stages = {stage for trace in traces for stage in trace["stage_s"]}
+        assert meta["stage_s"] == {
+            stage: sum(trace["stage_s"].get(stage, 0.0) for trace in traces) for stage in stages
+        }
+
+    def test_snr_sweep_sidecar_holds_each_points_rank_histogram(self, tmp_path):
+        """Each point of a two-point SNR sweep writes its auto-rank
+        histogram, which counts every symbol of every trial once."""
+        cfg = dataclasses.replace(FAST, num_trials=2, snr_sweep=(8.0, 12.0))
+        emit_csv(sweep(cfg, axis="snr"), tmp_path / "sweep.csv")
+        counts = json.loads((tmp_path / "sweep.csv.meta.json").read_text())["rank_counts"]
+        assert set(counts) == {"8", "12"}
+        for point_counts in counts.values():
+            assert set(point_counts) == {"jio_mber_auto"}
+            assert len(point_counts["jio_mber_auto"]) == cfg.D_max + 1
+            assert sum(point_counts["jio_mber_auto"]) == cfg.num_trials * cfg.num_symbols
 
 
 def _trace_result(ber_trace, final_window=1):
